@@ -4,10 +4,10 @@
 //! An artifact packages everything a client needs from one completed run:
 //! the final macroscopic [`Snapshot`], the derived [`FlowDiagnostics`],
 //! the phase count, the content-address key it was computed under, and a
-//! JSON trace summary. The codec follows [`crate::config_codec`]: a
-//! self-describing little-endian layout, bit-exact `f64` fields, and a
-//! decoder that surfaces typed errors — never panics — on untrusted
-//! bytes.
+//! JSON trace summary. The codec is built on the byte-format core
+//! ([`microslip_codec`]): a self-describing little-endian layout,
+//! bit-exact `f64` fields, and a decoder that surfaces typed errors —
+//! never panics — on untrusted bytes.
 //!
 //! **Determinism contract.** [`ResultArtifact::seal`] is a pure function
 //! of the artifact's fields, and the fields of a completed job are pure
@@ -18,8 +18,8 @@
 //! verbatim and lets a client `cmp` a fetched result against a local
 //! re-run.
 
-use crate::checkpoint::{self, CheckpointError};
-use crate::config_codec::{put_f64, put_str, put_u64, Reader};
+use microslip_codec::{put_f64, put_f64s, put_str, put_u64, Reader};
+
 use crate::diagnostics::FlowDiagnostics;
 use crate::macroscopic::Snapshot;
 
@@ -29,7 +29,7 @@ pub const MAGIC: [u8; 8] = *b"MSLIPRA1";
 /// Cap on cells implied by a decoded header, so corrupt dimensions cannot
 /// trigger a multi-gigabyte allocation (matches the largest domains the
 /// experiments run by a wide margin).
-const MAX_CELLS: u64 = 1 << 28;
+const MAX_CELLS: usize = 1 << 28;
 
 /// One completed job's results, ready to seal into the cache.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,13 +61,9 @@ impl ResultArtifact {
         put_u64(&mut out, s.nz as u64);
         put_u64(&mut out, s.rho.len() as u64);
         for comp in &s.rho {
-            for &v in comp {
-                put_f64(&mut out, v);
-            }
+            put_f64s(&mut out, comp);
         }
-        for &v in &s.velocity {
-            put_f64(&mut out, v);
-        }
+        put_f64s(&mut out, &s.velocity);
         let [mx, my, mz] = d.total_momentum;
         for v in [
             d.total_mass,
@@ -88,49 +84,26 @@ impl ResultArtifact {
 
     /// Restores an artifact from [`encode`](Self::encode) output.
     pub fn decode(bytes: &[u8]) -> Result<ResultArtifact, String> {
-        if !bytes.starts_with(&MAGIC) {
-            return Err("not a microslip result artifact (bad magic)".into());
-        }
-        let mut r = Reader { bytes, pos: 8 };
+        let mut r = Reader::open(bytes, &MAGIC, "result artifact")?;
         let key = r.str()?;
         let phases = r.u64()?;
         let x0 = r.usize()?;
-        let nx = r.u64()?;
-        let ny = r.u64()?;
-        let nz = r.u64()?;
-        let cells64 = nx
+        let (nx, ny, nz) = (r.usize()?, r.usize()?, r.usize()?);
+        let cells = nx
             .checked_mul(ny)
             .and_then(|p| p.checked_mul(nz))
-            .ok_or("cell count overflow")?;
-        if cells64 > MAX_CELLS {
-            return Err(format!("implausible cell count {cells64}"));
-        }
-        let cells = usize::try_from(cells64)
-            .map_err(|_| format!("cell count {cells64} overflows usize"))?;
-        let ncomp = r.usize()?;
-        if ncomp == 0 || ncomp > 64 {
-            return Err(format!("implausible component count {ncomp}"));
+            .filter(|&c| c <= MAX_CELLS)
+            .ok_or_else(|| format!("implausible cell count {nx}x{ny}x{nz}"))?;
+        let ncomp = r.count(64, "component count")?;
+        if ncomp == 0 {
+            return Err("implausible component count 0".into());
         }
         let mut rho = Vec::with_capacity(ncomp);
         for _ in 0..ncomp {
-            let mut comp = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                comp.push(r.f64()?);
-            }
-            rho.push(comp);
+            rho.push(r.f64s(cells)?);
         }
-        let mut velocity = Vec::with_capacity(cells * 3);
-        for _ in 0..cells * 3 {
-            velocity.push(r.f64()?);
-        }
-        let snapshot = Snapshot {
-            x0,
-            nx: usize::try_from(nx).map_err(|_| format!("nx {nx} overflows usize"))?,
-            ny: usize::try_from(ny).map_err(|_| format!("ny {ny} overflows usize"))?,
-            nz: usize::try_from(nz).map_err(|_| format!("nz {nz} overflows usize"))?,
-            rho,
-            velocity,
-        };
+        let velocity = r.f64s(cells * 3)?;
+        let snapshot = Snapshot { x0, nx, ny, nz, rho, velocity };
         let diagnostics = FlowDiagnostics {
             total_mass: r.f64()?,
             mean_density: r.f64()?,
@@ -141,27 +114,22 @@ impl ResultArtifact {
             flow_rate: r.f64()?,
         };
         let summary_json = r.str()?;
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after artifact", bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(ResultArtifact { key, phases, snapshot, diagnostics, summary_json })
     }
 
     /// Encodes and seals with the CRC-32 trailer — the exact byte string
     /// the cache stores and the daemon ships to `fetch` clients.
     pub fn seal(&self) -> Vec<u8> {
-        checkpoint::seal(self.encode())
+        microslip_codec::seal(self.encode())
     }
 
     /// Verifies and decodes a sealed artifact.
     pub fn unseal(bytes: &[u8]) -> Result<ResultArtifact, String> {
-        let payload = checkpoint::unseal(bytes).map_err(describe)?;
+        let payload = microslip_codec::unseal(bytes)
+            .map_err(|e| format!("sealed artifact rejected: {e}"))?;
         ResultArtifact::decode(payload)
     }
-}
-
-fn describe(e: CheckpointError) -> String {
-    format!("sealed artifact rejected: {e:?}")
 }
 
 #[cfg(test)]

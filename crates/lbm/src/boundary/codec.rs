@@ -1,17 +1,20 @@
 //! Binary codec for [`WallBc`] — the wall-BC slice of the config codec.
 //!
 //! Follows [`crate::config_codec`]'s conventions exactly: little-endian,
-//! `u64` discriminant plus payload, bit-exact `f64`s, every read
-//! bounds-checked with a typed error. This module is on `microslip-lint`'s
-//! boundary panic-freedom list: untrusted bytes may reach
-//! [`decode_wall_bc`] via `Scenario::decode`, so nothing here may panic.
+//! `u64` discriminant plus payload, bit-exact `f64`s, every read through
+//! the shared bounds-checked [`Reader`] with a typed error. This module
+//! is on `microslip-lint`'s boundary panic-freedom list: untrusted bytes
+//! may reach [`decode_wall_bc`] via `Scenario::decode`, so nothing here
+//! may panic.
 //!
 //! Decoding re-validates parameters ([`WallBc::validate`]): out-of-range
 //! reflection fractions or a zero stripe period are codec errors, not
 //! latent config errors.
 
+use microslip_codec::{put_f64, put_u64, Reader};
+
 use super::WallBc;
-use crate::config_codec::{put_f64, put_region, put_u64, read_region, Reader};
+use crate::config_codec::{put_region, read_region};
 
 /// Appends the wall-BC field to a config encoding.
 pub(crate) fn encode_wall_bc(out: &mut Vec<u8>, bc: &WallBc) {
@@ -51,10 +54,7 @@ pub(crate) fn decode_wall_bc(r: &mut Reader<'_>) -> Result<WallBc, String> {
             phase: r.usize()?,
         },
         3 => {
-            let count = r.usize()?;
-            if count > 1 << 20 {
-                return Err(format!("implausible roughness element count {count}"));
-            }
+            let count = r.count(1 << 20, "roughness element count")?;
             let mut elements = Vec::with_capacity(count);
             for _ in 0..count {
                 elements.push(read_region(r)?);
@@ -75,9 +75,9 @@ mod tests {
     fn roundtrip(bc: &WallBc) -> WallBc {
         let mut bytes = Vec::new();
         encode_wall_bc(&mut bytes, bc);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new(&bytes, "wall BC");
         let back = decode_wall_bc(&mut r).expect("decode");
-        assert_eq!(r.pos, bytes.len(), "decode must consume the whole field");
+        r.finish().expect("decode must consume the whole field");
         back
     }
 
@@ -104,7 +104,7 @@ mod tests {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 1);
         put_f64(&mut bytes, 1.5);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new(&bytes, "wall BC");
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("outside [0, 1]"));
 
         let mut bytes = Vec::new();
@@ -113,7 +113,7 @@ mod tests {
         put_f64(&mut bytes, -0.5);
         put_u64(&mut bytes, 2);
         put_u64(&mut bytes, 0);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new(&bytes, "wall BC");
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("outside [0, 1]"));
 
         let mut bytes = Vec::new();
@@ -122,12 +122,12 @@ mod tests {
         put_f64(&mut bytes, 0.5);
         put_u64(&mut bytes, 0);
         put_u64(&mut bytes, 0);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new(&bytes, "wall BC");
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("period"));
 
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 9);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new(&bytes, "wall BC");
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("discriminant"));
     }
 
@@ -141,7 +141,7 @@ mod tests {
             },
         );
         for cut in 0..bytes.len() {
-            let mut r = Reader { bytes: &bytes[..cut], pos: 0 };
+            let mut r = Reader::new(&bytes[..cut], "wall BC");
             assert!(decode_wall_bc(&mut r).is_err(), "prefix {cut} accepted");
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! One directory, one file per key: `<dir>/<key>.artifact`, where the key
 //! is the hex hash of the job's canonical scenario bytes. Entries are
-//! written atomically (tmp + rename, the [`crate::checkpoint`] idiom) and
+//! written atomically ([`microslip_codec::publish`]: tmp + rename) and
 //! verified on every read — a torn or bit-rotted entry is treated as a
 //! **miss** and evicted so the job simply recomputes, because a cache
 //! must never be able to fail a sweep.
@@ -15,7 +15,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint;
+use microslip_codec::{publish, unseal};
 
 /// Longest accepted key (the scenario hash is 16 hex chars; leave head
 /// room for wider hashes without admitting arbitrary strings).
@@ -70,7 +70,7 @@ impl CacheStore {
     pub fn get_sealed(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entry_path(key).ok()?;
         let bytes = fs::read(&path).ok()?;
-        match checkpoint::unseal(&bytes) {
+        match unseal(&bytes) {
             Ok(_) => Some(bytes),
             Err(_) => {
                 let _ = fs::remove_file(&path);
@@ -83,11 +83,9 @@ impl CacheStore {
     /// Rejects bytes that do not verify — the cache only ever holds
     /// entries [`get_sealed`](Self::get_sealed) will accept.
     pub fn put_sealed(&self, key: &str, sealed: &[u8]) -> Result<(), String> {
-        checkpoint::unseal(sealed).map_err(|e| format!("refusing to cache torn artifact: {e:?}"))?;
+        unseal(sealed).map_err(|e| format!("refusing to cache torn artifact: {e}"))?;
         let path = self.entry_path(key)?;
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, sealed).map_err(|e| format!("cache write failed: {e}"))?;
-        fs::rename(&tmp, &path).map_err(|e| format!("cache publish failed: {e}"))
+        publish(&path, &[sealed]).map_err(|e| format!("cache publish failed: {e}"))
     }
 
     /// Removes the entry for `key`. Returns whether one existed.
@@ -160,7 +158,7 @@ mod tests {
     }
 
     fn sealed(content: &[u8]) -> Vec<u8> {
-        checkpoint::seal(content.to_vec())
+        microslip_codec::seal(content.to_vec())
     }
 
     #[test]

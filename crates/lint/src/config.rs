@@ -197,6 +197,9 @@ pub fn default_config() -> LintConfig {
         determinism_paths: vec![
             "crates/balance/src".into(),
             "crates/cluster/src".into(),
+            // The byte-format core: scenario keys, cached artifacts and
+            // checkpoints must encode identically on every run.
+            "crates/codec/src".into(),
             "crates/lbm/src".into(),
             "crates/runtime/src".into(),
         ],
@@ -227,6 +230,9 @@ pub fn default_config() -> LintConfig {
         // A malformed input must come back as CommError::Protocol / a
         // parse error, never as a panic that kills the rank.
         boundary_paths: vec![
+            // The byte-format core: every decoder below reads untrusted
+            // bytes through its Reader, CRC-32 and unseal.
+            "crates/codec/src".into(),
             "crates/net/src/wire.rs".into(),
             "crates/net/src/rendezvous.rs".into(),
             "crates/net/src/tcp.rs".into(),
@@ -445,6 +451,8 @@ mod tests {
         assert!(cfg.in_boundary_paths("crates/lbm/src/boundary/codec.rs"));
         assert!(cfg.in_boundary_paths("crates/lbm/src/config_codec.rs"));
         assert!(cfg.in_boundary_paths("crates/obs/src/export.rs"));
+        assert!(cfg.in_boundary_paths("crates/codec/src/lib.rs"));
+        assert!(cfg.in_determinism_paths("crates/codec/src/lib.rs"));
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Rendezvous handshake and mesh establishment.
 //!
 //! Every participant first binds its own *data listener* on an ephemeral
-//! localhost port, then meets the others at the rendezvous address:
+//! localhost port, then meets the others at rank 0's rendezvous listener:
 //!
-//! 1. Rank 0 binds the rendezvous listener (with retry — children may
-//!    race it) and accepts `size − 1` connections. Each joiner sends a
+//! 0. Rank 0 binds the rendezvous listener on `127.0.0.1:0` and publishes
+//!    the address it got as `rendezvous.<epoch>` in the run directory
+//!    (atomically, through [`microslip_codec::publish`]); joiners poll
+//!    for that file within the handshake deadline. The port is never
+//!    released between being chosen and being listened on, so no other
+//!    bind on the host can take it.
+//! 1. Rank 0 accepts `size − 1` connections. Each joiner sends a
 //!    HELLO frame carrying its claimed rank (or [`wire::ASSIGN_ME`]) and
 //!    its data port. Rank 0 verifies claims are unique and in range,
 //!    hands free ranks to assign-me joiners in arrival order, and answers
@@ -18,28 +23,30 @@
 //!    the sequential connect-then-accept order cannot deadlock.
 //!
 //! **Epoch-stamped membership.** Every mesh belongs to an epoch (1 =
-//! initial). After a rank dies, the driver re-runs the rendezvous at a
-//! fresh address with the epoch incremented; joiners announce themselves
-//! with a REJOIN frame carrying their epoch, and every IDENT carries the
-//! epoch in its tag. The coordinator and every acceptor reject mismatched
-//! epochs, fencing a stale process out of a recovered mesh. Per-frame
-//! fencing inside the data phase is unnecessary: frames cannot cross
-//! connections, and each epoch's mesh is a fresh set of connections.
+//! initial). After a rank dies, the ranks re-run the rendezvous with the
+//! epoch incremented (a fresh `rendezvous.<epoch>` file); joiners
+//! announce themselves with a REJOIN frame carrying their epoch, and
+//! every IDENT carries the epoch in its tag. The coordinator and every
+//! acceptor reject mismatched epochs, fencing a stale process out of a
+//! recovered mesh. Per-frame fencing inside the data phase is
+//! unnecessary: frames cannot cross connections, and each epoch's mesh is
+//! a fresh set of connections.
 //!
 //! **Bounded wall-time.** One `handshake_timeout` deadline covers the
-//! whole rendezvous — connect retries, binds, accepts and handshake reads
-//! all charge against it, so per-attempt timeouts cannot stack unbounded.
-//! An accept that times out names the ranks that never arrived, so a
-//! worker dying *during* the handshake is classified as a
-//! [`CommError::Handshake`] naming the offending rank rather than a
-//! generic timeout.
+//! whole rendezvous — waiting for the rendezvous file, connect retries,
+//! accepts and handshake reads all charge against it, so per-attempt
+//! timeouts cannot stack unbounded. An accept that times out names the
+//! ranks that never arrived, so a worker dying *during* the handshake is
+//! classified as a [`CommError::Handshake`] naming the offending rank
+//! rather than a generic timeout.
 //!
 //! All failures before the communicator exists surface as
 //! [`CommError::Handshake`].
 
 use std::collections::HashSet;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -65,21 +72,37 @@ fn set_port(ports: &mut [u16], rank: NodeId, port: u16) -> Result<(), CommError>
     }
 }
 
-/// Picks a free localhost port by binding an ephemeral listener and
-/// dropping it. The driver reserves the rendezvous port this way before
-/// spawning workers; the small bind race is acceptable on localhost.
-pub fn reserve_port() -> std::io::Result<u16> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    Ok(listener.local_addr()?.port())
+/// The file in a run directory through which rank 0 of membership
+/// `epoch` publishes its rendezvous address.
+pub fn rendezvous_file(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!("rendezvous.{epoch}"))
 }
 
-fn resolve(addr: &str) -> Result<SocketAddr, CommError> {
-    match addr.to_socket_addrs() {
-        Ok(mut it) => match it.next() {
-            Some(a) => Ok(a),
-            None => handshake(format!("address {addr} resolved to nothing")),
-        },
-        Err(e) => handshake(format!("cannot resolve {addr}: {e}")),
+/// Binds an ephemeral localhost listener.
+fn bind_local(what: &str) -> Result<(TcpListener, SocketAddr), CommError> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| CommError::Handshake { detail: format!("cannot bind {what}: {e}") })?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| CommError::Handshake { detail: format!("{what} address: {e}") })?;
+    Ok((listener, addr))
+}
+
+/// Polls for rank 0's rendezvous file until `deadline`.
+fn await_rendezvous(path: &Path, deadline: Instant) -> Result<SocketAddr, CommError> {
+    loop {
+        if let Ok(text) = std::fs::read_to_string(path) {
+            return text.trim().parse().or_else(|e| {
+                handshake(format!("{} holds no address ({e}): {text:?}", path.display()))
+            });
+        }
+        if Instant::now() >= deadline {
+            return handshake(format!(
+                "rank 0 never published {} within the rendezvous deadline",
+                path.display()
+            ));
+        }
+        thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -111,27 +134,6 @@ fn connect_with_retry(
         thread::sleep(cfg.backoff_for(attempt).min(deadline.saturating_duration_since(Instant::now())));
     }
     handshake(format!("could not connect to {addr} after {attempts} attempts: {last}"))
-}
-
-/// Binds `addr` with bounded retries, charged against `deadline` like
-/// [`connect_with_retry`].
-fn bind_with_retry(
-    addr: SocketAddr,
-    cfg: &NetConfig,
-    deadline: Instant,
-) -> Result<TcpListener, CommError> {
-    let mut last = String::new();
-    for attempt in 0..cfg.connect_retries.max(1) {
-        if attempt > 0 && Instant::now() >= deadline {
-            break;
-        }
-        match TcpListener::bind(addr) {
-            Ok(listener) => return Ok(listener),
-            Err(e) => last = e.to_string(),
-        }
-        thread::sleep(cfg.backoff_for(attempt).min(deadline.saturating_duration_since(Instant::now())));
-    }
-    handshake(format!("could not bind {addr}: {last}"))
 }
 
 /// Accepts one connection before `deadline`. `missing` renders, lazily,
@@ -188,18 +190,16 @@ fn send_handshake_frame(stream: &mut TcpStream, frame: &Frame) -> Result<(), Com
 /// (later epochs), assign/verify ranks, fence epoch mismatches, answer
 /// with ROSTERs. Returns the data port of every rank.
 fn coordinate(
-    rendezvous: SocketAddr,
+    listener: &TcpListener,
     size: usize,
     my_data_port: u16,
     epoch: u64,
-    cfg: &NetConfig,
     deadline: Instant,
 ) -> Result<Vec<u16>, CommError> {
-    let listener = bind_with_retry(rendezvous, cfg, deadline)?;
     let mut arrivals: Vec<(TcpStream, Option<NodeId>, u16)> = Vec::with_capacity(size - 1);
     let mut claimed: HashSet<NodeId> = HashSet::new();
     for _ in 1..size {
-        let mut stream = accept_with_deadline(&listener, deadline, || {
+        let mut stream = accept_with_deadline(listener, deadline, || {
             let missing: Vec<NodeId> = (1..size).filter(|r| !claimed.contains(r)).collect();
             format!(
                 "{} of {} joiners arrived, ranks {missing:?} never did",
@@ -411,21 +411,51 @@ fn establish_mesh(
     Ok(streams)
 }
 
+/// How a participant reaches the rendezvous: rank 0 hosts it on a
+/// listener it already holds, everyone else dials its address.
+enum Meeting {
+    Host(TcpListener),
+    Join(SocketAddr),
+}
+
+/// Runs the rendezvous and mesh establishment for one participant.
+fn mesh(
+    rank: Option<NodeId>,
+    size: usize,
+    meeting: Meeting,
+    epoch: u64,
+    cfg: &NetConfig,
+    deadline: Instant,
+) -> Result<TcpTransport, CommError> {
+    let (data_listener, data_addr) = bind_local("data listener")?;
+    let my_data_port = data_addr.port();
+    let (my_rank, ports) = match meeting {
+        Meeting::Host(listener) => {
+            (0, coordinate(&listener, size, my_data_port, epoch, deadline)?)
+        }
+        Meeting::Join(addr) => join(addr, rank, size, my_data_port, epoch, cfg, deadline)?,
+    };
+    let streams = establish_mesh(my_rank, &ports, &data_listener, epoch, cfg, deadline)?;
+    Ok(TcpTransport::new(my_rank, streams))
+}
+
 /// Joins (or, as rank 0, coordinates) a TCP mesh of `size` ranks meeting
-/// at `rendezvous_addr`. `rank` is the claimed rank — `Some(0)` makes
-/// this participant the coordinator; `None` asks rank 0 to assign one.
-/// The mesh belongs to membership epoch 1; a recovered run re-meshes via
-/// [`connect_epoch`].
+/// through the run directory `dir`. `rank` is the claimed rank —
+/// `Some(0)` makes this participant the coordinator; `None` asks rank 0
+/// to assign one. The mesh belongs to membership epoch 1; a recovered run
+/// re-meshes via [`connect_epoch`].
 pub fn connect(
     rank: Option<NodeId>,
     size: usize,
-    rendezvous_addr: &str,
+    dir: &Path,
     cfg: &NetConfig,
 ) -> Result<TcpTransport, CommError> {
-    connect_epoch(rank, size, rendezvous_addr, 1, cfg)
+    connect_epoch(rank, size, dir, 1, cfg)
 }
 
-/// [`connect`] for an explicit membership epoch. Joiners at epoch > 1
+/// [`connect`] for an explicit membership epoch. Rank 0 publishes its
+/// rendezvous address as [`rendezvous_file`]`(dir, epoch)`; joiners wait
+/// for that file within the handshake deadline. Joiners at epoch > 1
 /// announce themselves with REJOIN frames; the coordinator and every mesh
 /// acceptor reject participants whose epoch differs, fencing stale
 /// processes (and their frames — frames cannot cross connections) out of
@@ -433,7 +463,7 @@ pub fn connect(
 pub fn connect_epoch(
     rank: Option<NodeId>,
     size: usize,
-    rendezvous_addr: &str,
+    dir: &Path,
     epoch: u64,
     cfg: &NetConfig,
 ) -> Result<TcpTransport, CommError> {
@@ -457,34 +487,36 @@ pub fn connect_epoch(
         };
     }
     let deadline = Instant::now() + cfg.handshake_timeout;
-    let data_listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| CommError::Handshake { detail: format!("cannot bind data listener: {e}") })?;
-    let my_data_port = data_listener
-        .local_addr()
-        .map_err(|e| CommError::Handshake { detail: format!("listener address: {e}") })?
-        .port();
-    let rendezvous = resolve(rendezvous_addr)?;
-    let (my_rank, ports) = if rank == Some(0) {
-        (0, coordinate(rendezvous, size, my_data_port, epoch, cfg, deadline)?)
+    let file = rendezvous_file(dir, epoch);
+    let meeting = if rank == Some(0) {
+        let (listener, addr) = bind_local("rendezvous listener")?;
+        microslip_codec::publish(&file, &[addr.to_string().as_bytes()]).map_err(|e| {
+            CommError::Handshake { detail: format!("publish {}: {e}", file.display()) }
+        })?;
+        Meeting::Host(listener)
     } else {
-        join(rendezvous, rank, size, my_data_port, epoch, cfg, deadline)?
+        Meeting::Join(await_rendezvous(&file, deadline)?)
     };
-    let streams = establish_mesh(my_rank, &ports, &data_listener, epoch, cfg, deadline)?;
-    Ok(TcpTransport::new(my_rank, streams))
+    mesh(rank, size, meeting, epoch, cfg, deadline)
 }
 
 /// Test/bench helper: builds an `n`-rank TCP mesh over localhost threads.
-/// Element `i` of the result is rank `i`'s transport. Panics on failure —
-/// production code goes through [`connect`].
+/// Element `i` of the result is rank `i`'s transport. The coordinator's
+/// listener is bound before any joiner starts, so no rendezvous file is
+/// needed. Panics on failure — production code goes through [`connect`].
 pub fn localhost_mesh(n: usize, cfg: &NetConfig) -> Vec<TcpTransport> {
     // lint:allow(boundary-panic, test/bench helper documented to panic on failure; production code uses connect())
-    let port = reserve_port().expect("reserve rendezvous port");
-    let addr = format!("127.0.0.1:{port}");
+    let (listener, addr) = bind_local("rendezvous listener").expect("bind rendezvous listener");
+    let deadline = Instant::now() + cfg.handshake_timeout;
+    let mut host = Some(listener);
     let handles: Vec<_> = (0..n)
         .map(|i| {
-            let addr = addr.clone();
+            let meeting = match host.take() {
+                Some(listener) => Meeting::Host(listener),
+                None => Meeting::Join(addr),
+            };
             let cfg = cfg.clone();
-            thread::spawn(move || connect(Some(i), n, &addr, &cfg))
+            thread::spawn(move || mesh(Some(i), n, meeting, 1, &cfg, deadline))
         })
         .collect();
     let mut out: Vec<TcpTransport> = handles

@@ -3,10 +3,14 @@
 
 # Tier-1 gate: everything a PR must keep green. Mirrors what CI and the
 # verify loop run; uses --offline so it never depends on registry access
-# (all external deps are vendored shims, see vendor/README.md).
+# (all external deps are vendored shims, see vendor/README.md). The
+# workspace test run covers the member crates (codec, lbm SIMD/kernel
+# proptests, net, balance, obs, cluster determinism), which the root
+# package's `cargo test` does not reach.
 tier1:
     cargo build --release --offline
     cargo test -q --offline
+    cargo test -q --workspace --offline
     cargo clippy --workspace --offline -- -D warnings
     just lint
     just physics

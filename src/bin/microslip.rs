@@ -420,7 +420,6 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
     let a = MpWorkerArgs {
         rank: need("rank")?.parse().map_err(|_| "bad --rank".to_string())?,
         ranks: need("ranks")?.parse().map_err(|_| "bad --ranks".to_string())?,
-        rendezvous: need("rendezvous")?,
         dir: need("dir")?.into(),
         phases: f.get("phases", 100u64)?,
         remap_interval: f.get("remap-every", 0u64)?,

@@ -6,9 +6,12 @@
 //! closest reproduction of the paper's actual deployment — separate MPI
 //! ranks on a cluster — that a single machine can host. The driver
 //! ([`run_multiprocess`]) forks `ranks` copies of the `microslip` binary
-//! running the `mp-worker` subcommand, hands them a rendezvous address,
-//! and gathers their results from a shared run directory:
+//! running the `mp-worker` subcommand and gathers their results from a
+//! shared run directory:
 //!
+//! * `rendezvous.<epoch>` — the address rank 0 of each membership epoch
+//!   listens on, published by rank 0 itself (see
+//!   [`microslip_net::rendezvous`]);
 //! * `config.bin` — the [`ChannelConfig`], byte-exact via
 //!   [`microslip_lbm::config_codec`], written by the driver and decoded by
 //!   every child;
@@ -45,12 +48,13 @@ use microslip_balance::predict::HarmonicMean;
 use microslip_balance::Partition;
 use microslip_cluster::Scheme;
 use microslip_comm::{CommError, NodeId, Tag, Transport};
-use microslip_lbm::checkpoint::{load_solver, read_sealed, write_sealed};
+use microslip_codec::{publish, sealed_phases, write_sealed};
+use microslip_lbm::checkpoint::load_sealed;
 use microslip_lbm::config_codec::{decode_config, encode_config};
 use microslip_lbm::geometry::even_slabs;
 use microslip_lbm::macroscopic::Snapshot;
 use microslip_lbm::{ChannelConfig, Slab};
-use microslip_net::{connect_epoch, reserve_port, NetConfig};
+use microslip_net::{connect_epoch, NetConfig};
 use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
@@ -262,13 +266,18 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
 
     fs::create_dir_all(&dir)
         .map_err(|e| fail(format!("create run dir {}: {e}", dir.display())))?;
+    // A reused run directory may hold an earlier run's epoch and
+    // rendezvous files; a rank must only ever find this run's.
+    for entry in fs::read_dir(&dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        if name.to_str().is_some_and(|n| n == "epoch" || n.starts_with("rendezvous.")) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
     let config_path = dir.join("config.bin");
     fs::write(&config_path, encode_config(&cfg.channel))
         .map_err(|e| fail(format!("write {}: {e}", config_path.display())))?;
 
-    let port =
-        reserve_port().map_err(|e| fail(format!("reserve rendezvous port: {e}")))?;
-    let rendezvous = format!("127.0.0.1:{port}");
     let exe = match &cfg.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()
@@ -276,21 +285,15 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     };
 
     // Shared by the initial spawn and (under supervision) respawns: a
-    // rejoining rank gets the new epoch's rendezvous and no fault flags —
-    // a replacement must not re-inherit its predecessor's death sentence.
-    let spawn_rank = |rank: usize,
-                      rendezvous: &str,
-                      epoch: u64,
-                      rejoin: bool|
-     -> Result<Child, String> {
+    // rejoining rank gets the new epoch and no fault flags — a
+    // replacement must not re-inherit its predecessor's death sentence.
+    let spawn_rank = |rank: usize, epoch: u64, rejoin: bool| -> Result<Child, String> {
         let mut cmd = Command::new(&exe);
         cmd.arg("mp-worker")
             .arg("--rank")
             .arg(rank.to_string())
             .arg("--ranks")
             .arg(cfg.ranks.to_string())
-            .arg("--rendezvous")
-            .arg(rendezvous)
             .arg("--dir")
             .arg(&dir)
             .arg("--phases")
@@ -346,7 +349,7 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
 
     let mut children = Vec::with_capacity(cfg.ranks);
     for rank in 0..cfg.ranks {
-        children.push(spawn_rank(rank, &rendezvous, 1, false).map_err(&fail)?);
+        children.push(spawn_rank(rank, 1, false).map_err(&fail)?);
     }
 
     let rank_errors = if cfg.recover {
@@ -390,12 +393,12 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
 
 /// The driver's supervision loop (`recover = true`): poll the children; a
 /// rank that dies without leaving a typed `rank{r}.error` file is treated
-/// as crashed — the membership epoch is bumped, the new rendezvous and
-/// nominal recovery plan are published in the epoch file, and a
-/// replacement is spawned with `--rejoin`. A typed error, a wait failure,
+/// as crashed — the membership epoch is bumped and published in the
+/// epoch file with the nominal recovery plan, and a replacement is
+/// spawned with `--rejoin`. A typed error, a wait failure,
 /// or exhausted respawns abort the run (remaining children are killed so
 /// the caller gets a prompt, complete failure report).
-type SpawnRank<'a> = &'a dyn Fn(usize, &str, u64, bool) -> Result<Child, String>;
+type SpawnRank<'a> = &'a dyn Fn(usize, u64, bool) -> Result<Child, String>;
 
 fn supervise(
     cfg: &MpConfig,
@@ -442,14 +445,10 @@ fn supervise(
             }
             // Hard death with no typed error: a crash. Publish the next
             // epoch and respawn the rank; survivors poll the epoch file,
-            // drop their dead mesh, and rendezvous again at the new
-            // address.
+            // drop their dead mesh, and rendezvous again at the new epoch.
             respawns += 1;
             epoch += 1;
             let step = (|| -> Result<Child, String> {
-                let port =
-                    reserve_port().map_err(|e| format!("reserve rejoin port: {e}"))?;
-                let addr = format!("127.0.0.1:{port}");
                 // The audit plan: where the dead rank's planes would land
                 // had the survivors absorbed them (see [`EpochInfo::plan`]).
                 let nominal: Vec<usize> = even_slabs(cfg.channel.dims.nx, cfg.ranks)
@@ -459,16 +458,8 @@ fn supervise(
                 let plane_cells = cfg.channel.dims.ny * cfg.channel.dims.nz;
                 let plan =
                     RecoveryPlan::for_death(&Partition::new(nominal, plane_cells), rank);
-                write_epoch_file(
-                    dir,
-                    &EpochInfo {
-                        epoch,
-                        rendezvous: addr.clone(),
-                        dead: rank,
-                        plan: plan.summary(),
-                    },
-                )?;
-                spawn_rank(rank, &addr, epoch, true)
+                write_epoch_file(dir, &EpochInfo { epoch, dead: rank, plan: plan.summary() })?;
+                spawn_rank(rank, epoch, true)
             })();
             match step {
                 Ok(c) => {
@@ -513,9 +504,7 @@ fn gather(cfg: &MpConfig, dir: &Path) -> Result<MpOutcome, String> {
     let mut streams = Vec::with_capacity(cfg.ranks);
     for rank in 0..cfg.ranks {
         let state_path = dir.join(format!("rank{rank}.state"));
-        let bytes = read_sealed(&state_path)
-            .map_err(|e| format!("read {}: {e}", state_path.display()))?;
-        let (solver, _) = load_solver(&cfg.channel, &bytes)
+        let (solver, _) = load_sealed(&cfg.channel, &state_path)
             .map_err(|e| format!("{}: {e}", state_path.display()))?;
         snapshots.push(solver.snapshot());
 
@@ -563,13 +552,11 @@ fn parse_report(rank: usize, text: &str) -> Result<MpReport, String> {
 /// Contents of the run directory's `epoch` file — the driver's one-way
 /// channel to the workers. Published atomically (temp file + rename)
 /// whenever the membership changes; survivors poll it after losing a
-/// peer to learn where (and as which epoch) to re-mesh.
+/// peer to learn which epoch to re-mesh at.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochInfo {
     /// Membership epoch (1 = initial mesh; each respawn bumps it).
     pub epoch: u64,
-    /// Rendezvous address of this epoch's mesh (fresh port per epoch).
-    pub rendezvous: String,
     /// The rank whose death triggered the epoch.
     pub dead: usize,
     /// [`RecoveryPlan::summary`] of where the dead rank's planes would
@@ -581,14 +568,9 @@ pub struct EpochInfo {
 
 /// Atomically publishes `info` as `dir/epoch`.
 pub fn write_epoch_file(dir: &Path, info: &EpochInfo) -> Result<(), String> {
-    let text = format!(
-        "epoch {}\nrendezvous {}\ndead {}\nplan {}\n",
-        info.epoch, info.rendezvous, info.dead, info.plan
-    );
-    let tmp = dir.join("epoch.tmp");
-    fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    let text = format!("epoch {}\ndead {}\nplan {}\n", info.epoch, info.dead, info.plan);
     let path = dir.join("epoch");
-    fs::rename(&tmp, &path).map_err(|e| format!("publish {}: {e}", path.display()))
+    publish(&path, &[text.as_bytes()]).map_err(|e| format!("publish {}: {e}", path.display()))
 }
 
 /// Reads `dir/epoch`; `None` when absent or unparseable (a torn write is
@@ -601,7 +583,6 @@ pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
     };
     Some(EpochInfo {
         epoch: get("epoch ")?.parse().ok()?,
-        rendezvous: get("rendezvous ")?,
         dead: get("dead ")?.parse().ok()?,
         plan: get("plan ")?,
     })
@@ -613,25 +594,7 @@ pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
 /// errors: recovery rolls back to the newest phase every survivor can
 /// actually restore.
 pub fn checkpoint_phases(dir: &Path, rank: usize) -> Vec<u64> {
-    let prefix = format!("ckpt-rank{rank}-phase");
-    let mut phases = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else { return phases };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(p) = name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".bin"))
-            .and_then(|rest| rest.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if read_sealed(&entry.path()).is_ok() {
-            phases.push(p);
-        }
-    }
-    phases.sort_unstable();
-    phases
+    sealed_phases(dir, &format!("ckpt-rank{rank}-phase"), ".bin")
 }
 
 /// Post-re-mesh collective: agree on the rollback phase. Every rank
@@ -669,7 +632,7 @@ fn recovery_sync<T: Transport>(t: &mut T, mine: &[u64]) -> Result<u64, CommError
 pub struct MpWorkerArgs {
     pub rank: usize,
     pub ranks: usize,
-    pub rendezvous: String,
+    /// Run directory: config in, results out, and the rendezvous files.
     pub dir: PathBuf,
     pub phases: u64,
     pub remap_interval: u64,
@@ -781,9 +744,7 @@ fn execute<T: Transport>(
         }
         Some(p) => {
             let path = a.dir.join(format!("ckpt-rank{}-phase{p}.bin", a.rank));
-            let bytes = read_sealed(&path)
-                .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-            let (solver, _) = load_solver(&cfg.channel, &bytes)
+            let (solver, _) = load_sealed(&cfg.channel, &path)
                 .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
             worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
         }
@@ -846,9 +807,7 @@ fn execute_recovery<T: Transport>(
         worker_main(cfg, policy, &predictor, transport, slab, throttle)
     } else {
         let path = a.dir.join(format!("ckpt-rank{rank}-phase{agreed}.bin"));
-        let bytes = read_sealed(&path)
-            .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-        let (solver, _) = load_solver(&cfg.channel, &bytes)
+        let (solver, _) = load_sealed(&cfg.channel, &path)
             .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
         let slab = solver.slab();
         sink.record(Event::Recovery {
@@ -912,9 +871,8 @@ fn run_supervised(
 ) -> Result<WorkerReport, WorkerError> {
     let rank = a.rank;
     let mut epoch = a.epoch.max(1);
-    let mut rendezvous = a.rendezvous.clone();
     loop {
-        let transport = connect_epoch(Some(rank), a.ranks, &rendezvous, epoch, net)
+        let transport = connect_epoch(Some(rank), a.ranks, &a.dir, epoch, net)
             .map_err(WorkerError::Comm)?;
         if epoch > 1 {
             sink.record(Event::Recovery {
@@ -924,7 +882,7 @@ fn run_supervised(
                 stage: RecoveryStage::Remesh,
                 phase: 0,
                 planes: 0,
-                detail: format!("re-meshed {} ranks at {rendezvous}", a.ranks),
+                detail: format!("re-meshed {} ranks at epoch {epoch}", a.ranks),
             });
         }
         let attempt = if epoch == 1 {
@@ -959,10 +917,7 @@ fn run_supervised(
                     epoch,
                     Duration::from_millis(a.epoch_wait_ms.max(1)),
                 ) {
-                    Some(info) => {
-                        epoch = info.epoch;
-                        rendezvous = info.rendezvous;
-                    }
+                    Some(info) => epoch = info.epoch,
                     None => {
                         return Err(WorkerError::Comm(CommError::Disconnected { peer }))
                     }
@@ -1018,7 +973,7 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     let result = if a.supervised {
         run_supervised(a, &mut cfg, policy.as_ref(), &sink, &net, t0)
     } else {
-        connect_epoch(Some(rank), a.ranks, &a.rendezvous, a.epoch.max(1), &net)
+        connect_epoch(Some(rank), a.ranks, &a.dir, a.epoch.max(1), &net)
             .map_err(WorkerError::Comm)
             .and_then(|transport| match a.die_at_phase {
                 Some(p) => execute(
@@ -1115,7 +1070,6 @@ mod tests {
         assert_eq!(read_epoch_file(&dir), None, "no epoch before a membership change");
         let info = EpochInfo {
             epoch: 3,
-            rendezvous: "127.0.0.1:4501".into(),
             dead: 2,
             plan: "2->1:2@8 2->3:3@10".into(),
         };

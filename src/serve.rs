@@ -33,14 +33,16 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use microslip_lbm::checkpoint::{self};
+use microslip_codec::{
+    publish, put_f64, put_str, put_u64, read_sealed, sealed_phases, write_sealed, Reader,
+};
 use microslip_lbm::store::validate_key;
 use microslip_lbm::{CacheStore, FlowDiagnostics, ResultArtifact, Simulation, WallBc};
 use microslip_net::serve::{request, Reply, Served, ServeLoop};
 use microslip_net::wire::{Frame, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
-use crate::scenario::{put_f64, put_str, put_u64, ByteReader, Scenario};
+use crate::scenario::Scenario;
 
 /// Sweep-request magic ("MSLIPSW1" — microslip sweep v1).
 pub const SWEEP_MAGIC: [u8; 8] = *b"MSLIPSW1";
@@ -198,14 +200,8 @@ impl SweepRequest {
 
     /// Decodes a request from untrusted wire bytes.
     pub fn decode(bytes: &[u8]) -> Result<SweepRequest, String> {
-        if !bytes.starts_with(&SWEEP_MAGIC) {
-            return Err("not a microslip sweep request (bad magic)".into());
-        }
-        let mut r = ByteReader { bytes, pos: 8 };
-        let base_len = r.usize()?;
-        if base_len > 1 << 24 {
-            return Err(format!("implausible scenario length {base_len}"));
-        }
+        let mut r = Reader::open(bytes, &SWEEP_MAGIC, "sweep request")?;
+        let base_len = r.count(1 << 24, "scenario length")?;
         let base = Scenario::decode(r.take(base_len)?)?;
         let checkpoint_every = match r.u64()? {
             CADENCE_DEFAULT => None,
@@ -218,19 +214,13 @@ impl SweepRequest {
         let mut axes = Vec::with_capacity(naxes);
         for _ in 0..naxes {
             let name = r.str()?;
-            let nvalues = r.usize()?;
-            if nvalues == 0 || nvalues > 1 << 12 {
-                return Err(format!("implausible axis value count {nvalues}"));
+            let nvalues = r.count(1 << 12, "axis value count")?;
+            if nvalues == 0 {
+                return Err("implausible axis value count 0".into());
             }
-            let mut values = Vec::with_capacity(nvalues);
-            for _ in 0..nvalues {
-                values.push(r.f64()?);
-            }
-            axes.push((name, values));
+            axes.push((name, r.f64s(nvalues)?));
         }
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after sweep request", bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(SweepRequest { base, checkpoint_every, axes })
     }
 
@@ -297,28 +287,16 @@ fn checkpoint_path(dir: &Path, phase: u64) -> PathBuf {
     dir.join(format!("ckpt-{phase:012}.bin"))
 }
 
-/// Scans `dir` for the newest checkpoint that both unseals (CRC-valid)
-/// and restores against `scenario`'s channel. Torn or mismatched files
-/// are skipped, not fatal — the job falls back to an older checkpoint or
-/// a fresh start, exactly like `mp` recovery.
+/// The newest checkpoint in `dir` that both unseals (CRC-valid) and
+/// restores against `scenario`'s channel. Torn or mismatched files are
+/// skipped, not fatal — the job falls back to an older checkpoint or a
+/// fresh start, exactly like `mp` recovery.
 fn newest_valid_checkpoint(dir: &Path, scenario: &Scenario) -> Option<(Simulation, u64)> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut phases: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let name = name.to_str()?;
-            name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse::<u64>().ok()
-        })
-        .collect();
-    phases.sort_unstable();
-    for phase in phases.into_iter().rev() {
-        let Ok(bytes) = checkpoint::read_sealed(&checkpoint_path(dir, phase)) else { continue };
-        if let Ok(sim) = Simulation::restore(scenario.channel.clone(), &bytes) {
-            return Some((sim, phase));
-        }
-    }
-    None
+    sealed_phases(dir, "ckpt-", ".bin").into_iter().rev().find_map(|phase| {
+        let bytes = read_sealed(&checkpoint_path(dir, phase)).ok()?;
+        let sim = Simulation::restore(scenario.channel.clone(), &bytes).ok()?;
+        Some((sim, phase))
+    })
 }
 
 /// The deterministic per-job trace summary embedded in the artifact.
@@ -372,11 +350,8 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
         }
         sim.step();
         if args.checkpoint_every > 0 && sim.phase().is_multiple_of(args.checkpoint_every) {
-            checkpoint::write_sealed(
-                &checkpoint_path(&args.checkpoint_dir, sim.phase()),
-                sim.save(),
-            )
-            .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
+            write_sealed(&checkpoint_path(&args.checkpoint_dir, sim.phase()), sim.save())
+                .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
         }
     }
     let snapshot = sim.snapshot();
@@ -388,9 +363,7 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
         diagnostics,
         summary_json: job_summary(&scenario, &key),
     };
-    let tmp = args.out_path.with_extension("tmp");
-    std::fs::write(&tmp, artifact.seal()).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &args.out_path)
+    write_sealed(&args.out_path, artifact.encode())
         .map_err(|e| format!("publishing {}: {e}", args.out_path.display()))
 }
 
@@ -817,7 +790,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
         .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
     let addr = serve_loop.local_addr().map_err(|e| format!("serve addr: {e}"))?;
     // Publish the resolved address so scripts can find an ephemeral port.
-    std::fs::write(cfg.dir.join("serve.addr"), format!("{addr}\n"))
+    publish(&cfg.dir.join("serve.addr"), &[format!("{addr}\n").as_bytes()])
         .map_err(|e| format!("writing serve.addr: {e}"))?;
     println!("serve: listening on {addr}, cache in {}", store.dir().display());
     let mut daemon = Daemon {

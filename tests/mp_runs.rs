@@ -226,12 +226,13 @@ fn unreachable_rendezvous_fails_with_typed_handshake_error() {
     let channel = ChannelConfig::paper_scaled(Dims::new(8, 6, 4));
     fs::write(dir.join("config.bin"), encode_config(&channel)).unwrap();
 
-    // Rank 1 dials a port nobody listens on; bounded retries must give up
-    // with a typed handshake error, an error file, and a flushed trace.
+    // The run directory names a rendezvous port nobody listens on, so
+    // rank 1 dials a dead address; bounded retries must give up with a
+    // typed handshake error, an error file, and a flushed trace.
+    fs::write(dir.join("rendezvous.1"), "127.0.0.1:9\n").unwrap();
     let output = Command::new(WORKER_EXE)
         .arg("mp-worker")
         .args(["--rank", "1", "--ranks", "2"])
-        .args(["--rendezvous", "127.0.0.1:9"])
         .args(["--phases", "2"])
         .arg("--dir")
         .arg(&dir)
