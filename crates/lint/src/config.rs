@@ -254,6 +254,9 @@ pub fn default_config() -> LintConfig {
             "crates/lbm/src/store.rs".into(),
             "src/scenario.rs".into(),
             "src/serve.rs".into(),
+            // The one child supervisor: parses child exit states and the
+            // error files a crashed or hostile child may have left torn.
+            "src/supervise.rs".into(),
         ],
         unsafe_registry: vec![
             unsafe_file(
@@ -453,6 +456,7 @@ mod tests {
         assert!(cfg.in_boundary_paths("crates/obs/src/export.rs"));
         assert!(cfg.in_boundary_paths("crates/codec/src/lib.rs"));
         assert!(cfg.in_determinism_paths("crates/codec/src/lib.rs"));
+        assert!(cfg.in_boundary_paths("src/supervise.rs"));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use microslip::obs::{
 use microslip::mp::{FaultSite, MpFault, MpWorkerArgs};
 use microslip::runtime::{run_parallel, LoadModel, RuntimeConfig};
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
+use microslip::supervise::DEFAULT_MAX_RESPAWNS;
 use microslip::{run_multiprocess, MpConfig, Scenario};
 
 /// Parsed `--key value` flags (and bare `--key` booleans).
@@ -314,11 +315,6 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     }
     if let Some(spec) = f.values.get("chaos") {
         cfg.fault = Some(chaos_spec(spec, ranks)?);
-        // A chaos kill only makes sense with the supervisor on.
-        cfg.recover = true;
-    }
-    if f.has("recover") {
-        cfg.recover = true;
     }
     let outcome = run_multiprocess(&cfg).map_err(|e| e.to_string())?;
     println!(
@@ -448,10 +444,7 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
             Some("remap") => FaultSite::Remap,
             Some(other) => return Err(format!("bad --die-site '{other}' (halo, remap)")),
         },
-        supervised: f.has("supervised"),
         epoch: f.get("epoch", 1u64)?,
-        rejoin: f.has("rejoin"),
-        epoch_wait_ms: f.get("epoch-wait-ms", 30_000u64)?,
     };
     microslip::mp::run_worker(&a)
 }
@@ -534,7 +527,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::new(f.get("dir", "target/serve".to_string())?, exe);
     cfg.addr = f.get("addr", "127.0.0.1:0".to_string())?;
     cfg.max_workers = f.get("max-workers", 2usize)?;
-    cfg.max_respawns = f.get("max-respawns", 3usize)?;
+    cfg.max_respawns = f.get("max-respawns", DEFAULT_MAX_RESPAWNS)?;
     cfg.cache_capacity = f.get("cache-capacity", 0usize)?;
     if let Some(spec) = f.values.get("chaos-die") {
         let err = || format!("--chaos-die wants JOB@PHASE, got '{spec}'");

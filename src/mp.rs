@@ -24,7 +24,8 @@
 //!   [`microslip_obs::merge_rank_streams`]; written even when the rank
 //!   fails, so a crashed run still leaves partial evidence behind;
 //! * `rank{r}.error` — present only on failure, the typed
-//!   [`WorkerError`] rendered for the driver.
+//!   [`WorkerError`] rendered for the driver's [`Supervisor`];
+//! * `epoch` — the driver's membership notices to the ranks.
 //!
 //! Determinism carries over: remapping moves planes, never changes
 //! physics, so an `mp` run is bitwise identical to the threaded and
@@ -37,7 +38,7 @@
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,16 +54,20 @@ use microslip_lbm::checkpoint::load_sealed;
 use microslip_lbm::config_codec::{decode_config, encode_config};
 use microslip_lbm::geometry::even_slabs;
 use microslip_lbm::macroscopic::Snapshot;
-use microslip_lbm::{ChannelConfig, Slab};
+use microslip_lbm::{ChannelConfig, Slab, SlabSolver};
 use microslip_net::{connect_epoch, NetConfig};
 use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
 };
 use microslip_runtime::worker::{
-    worker_main, worker_main_with_solver, WorkerConfig, WorkerError, WorkerReport,
+    worker_main_with_solver, WorkerConfig, WorkerError, WorkerReport,
 };
 use microslip_runtime::{LoadModel, ThrottlePlan};
+
+use crate::supervise::{
+    Exit, Respawns, Supervisor, DEFAULT_MAX_RESPAWNS, FAULT_EXIT, POLL_INTERVAL,
+};
 
 /// Where in the worker protocol an injected fault strikes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,15 +124,11 @@ pub struct MpConfig {
     pub worker_exe: Option<PathBuf>,
     /// Optional fault injection (tests).
     pub fault: Option<MpFault>,
-    /// Supervise the children: when a rank dies without leaving a typed
-    /// error file, bump the membership epoch, respawn it with `--rejoin`,
-    /// and let the survivors re-mesh and roll back to the last common
-    /// checkpoint. Off, a dead rank fails the run (the pre-recovery
-    /// behavior).
-    pub recover: bool,
-    /// How many times one rank may be respawned before the run is
-    /// declared lost.
-    pub max_respawns: u32,
+    /// How many times one rank that dies without leaving a typed error
+    /// file is respawned (the survivors re-mesh and roll back to the last
+    /// common checkpoint) before the run is declared lost; 0 = a dead
+    /// rank fails the run.
+    pub max_respawns: Respawns,
 }
 
 impl MpConfig {
@@ -148,8 +149,7 @@ impl MpConfig {
             dir: None,
             worker_exe: None,
             fault: None,
-            recover: false,
-            max_respawns: 3,
+            max_respawns: DEFAULT_MAX_RESPAWNS,
         }
     }
 }
@@ -284,10 +284,10 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
             .map_err(|e| fail(format!("locate worker executable: {e}")))?,
     };
 
-    // Shared by the initial spawn and (under supervision) respawns: a
-    // rejoining rank gets the new epoch and no fault flags — a
-    // replacement must not re-inherit its predecessor's death sentence.
-    let spawn_rank = |rank: usize, epoch: u64, rejoin: bool| -> Result<Child, String> {
+    // Shared by the initial spawn and respawns: a replacement (epoch > 1)
+    // recovers from checkpoints like a survivor, and gets no fault flags
+    // — it must not re-inherit its predecessor's death sentence.
+    let spawn_rank = |sup: &mut Supervisor<usize>, rank: usize, epoch: u64| {
         let mut cmd = Command::new(&exe);
         cmd.arg("mp-worker")
             .arg("--rank")
@@ -306,13 +306,9 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
             .arg(cfg.scheme.name())
             .arg("--checkpoint-every")
             .arg(cfg.checkpoint_every.to_string())
+            .arg("--epoch")
+            .arg(epoch.to_string())
             .stdout(Stdio::null());
-        if cfg.recover {
-            cmd.arg("--supervised").arg("--epoch").arg(epoch.to_string());
-        }
-        if rejoin {
-            cmd.arg("--rejoin");
-        }
         let factor = cfg.throttle.get(rank).copied().unwrap_or(1.0);
         if factor > 1.0 {
             // f64 Display is shortest-round-trip, so the child parses the
@@ -335,7 +331,7 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
         if let Some(p) = cfg.resume_phase {
             cmd.arg("--resume-phase").arg(p.to_string());
         }
-        if !rejoin {
+        if epoch == 1 {
             if let Some(f) = cfg.fault.filter(|f| f.rank == rank) {
                 cmd.arg("--die-at-phase").arg(f.die_at_phase.to_string());
                 if f.site == FaultSite::Remap {
@@ -343,158 +339,73 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
                 }
             }
         }
-        cmd.spawn()
+        sup.spawn(rank, &mut cmd, dir.join(format!("rank{rank}.error")))
             .map_err(|e| format!("spawn rank {rank} ({}): {e}", exe.display()))
     };
-
-    let mut children = Vec::with_capacity(cfg.ranks);
+    let mut sup = Supervisor::new(cfg.max_respawns);
     for rank in 0..cfg.ranks {
-        children.push(spawn_rank(rank, 1, false).map_err(&fail)?);
+        spawn_rank(&mut sup, rank, 1).map_err(&fail)?;
     }
 
-    let rank_errors = if cfg.recover {
-        supervise(cfg, &dir, children, &spawn_rank)
-    } else {
-        let mut rank_errors = Vec::new();
-        for (rank, mut child) in children.into_iter().enumerate() {
-            let status = child.wait();
-            let err_path = dir.join(format!("rank{rank}.error"));
-            if let Ok(text) = fs::read_to_string(&err_path) {
-                rank_errors.push((rank, text.trim().to_string()));
-                continue;
-            }
-            match status {
-                Ok(s) if s.success() => {}
-                Ok(s) => rank_errors.push((rank, format!("exited with {s}"))),
-                Err(e) => rank_errors.push((rank, format!("wait failed: {e}"))),
-            }
-        }
-        rank_errors
-    };
-    if !rank_errors.is_empty() {
-        return Err(MpFailure {
-            message: format!(
-                "{} of {} ranks failed (partial traces in {})",
-                rank_errors.len(),
-                cfg.ranks,
-                dir.display()
-            ),
-            rank_errors,
-            dir,
-        });
-    }
-
-    gather(cfg, &dir).map_err(|message| MpFailure {
-        message,
-        rank_errors: Vec::new(),
-        dir: dir.clone(),
-    })
-}
-
-/// The driver's supervision loop (`recover = true`): poll the children; a
-/// rank that dies without leaving a typed `rank{r}.error` file is treated
-/// as crashed — the membership epoch is bumped and published in the
-/// epoch file with the nominal recovery plan, and a replacement is
-/// spawned with `--rejoin`. A typed error, a wait failure,
-/// or exhausted respawns abort the run (remaining children are killed so
-/// the caller gets a prompt, complete failure report).
-type SpawnRank<'a> = &'a dyn Fn(usize, u64, bool) -> Result<Child, String>;
-
-fn supervise(
-    cfg: &MpConfig,
-    dir: &Path,
-    children: Vec<Child>,
-    spawn_rank: SpawnRank<'_>,
-) -> Vec<(usize, String)> {
-    let mut live: Vec<Option<Child>> = children.into_iter().map(Some).collect();
-    let mut rank_errors: Vec<(usize, String)> = Vec::new();
+    // Supervise: a crashed rank is answered with the next membership
+    // epoch, published in the epoch file with the nominal recovery plan,
+    // and a replacement rank; the survivors poll the epoch file,
+    // drop their dead mesh, and rendezvous again at the new epoch. Any
+    // other failure stops the run.
     let mut epoch: u64 = 1;
-    let mut respawns: u32 = 0;
-    'supervision: loop {
-        let mut all_done = true;
-        for (rank, slot) in live.iter_mut().enumerate() {
-            let Some(child) = slot.as_mut() else { continue };
-            let status = match child.try_wait() {
-                Ok(None) => {
-                    all_done = false;
-                    continue;
+    let mut rank_errors: Vec<(usize, String)> = Vec::new();
+    while sup.running() > 0 && rank_errors.is_empty() {
+        std::thread::sleep(POLL_INTERVAL);
+        for (rank, exit) in sup.poll() {
+            let error = match exit {
+                Exit::Done => continue,
+                Exit::Crashed(_) => {
+                    epoch += 1;
+                    let respawned = publish_epoch(cfg, &dir, rank, epoch)
+                        .and_then(|()| spawn_rank(&mut sup, rank, epoch));
+                    match respawned {
+                        Ok(()) => continue,
+                        Err(e) => e,
+                    }
                 }
-                Ok(Some(s)) => s,
-                Err(e) => {
-                    rank_errors.push((rank, format!("wait failed: {e}")));
-                    break 'supervision;
-                }
+                Exit::Failed(text) | Exit::Lost(text) => text,
+                Exit::GaveUp(status) => format!(
+                    "exited with {status} after {} respawns; giving up",
+                    sup.respawns(&rank)
+                ),
             };
-            if status.success() {
-                *slot = None;
-                continue;
-            }
-            let err_path = dir.join(format!("rank{rank}.error"));
-            if let Ok(text) = fs::read_to_string(&err_path) {
-                *slot = None;
-                rank_errors.push((rank, text.trim().to_string()));
-                break 'supervision;
-            }
-            if respawns >= cfg.max_respawns {
-                *slot = None;
-                rank_errors.push((
-                    rank,
-                    format!("exited with {status} after {respawns} respawns; giving up"),
-                ));
-                break 'supervision;
-            }
-            // Hard death with no typed error: a crash. Publish the next
-            // epoch and respawn the rank; survivors poll the epoch file,
-            // drop their dead mesh, and rendezvous again at the new epoch.
-            respawns += 1;
-            epoch += 1;
-            let step = (|| -> Result<Child, String> {
-                // The audit plan: where the dead rank's planes would land
-                // had the survivors absorbed them (see [`EpochInfo::plan`]).
-                let nominal: Vec<usize> = even_slabs(cfg.channel.dims.nx, cfg.ranks)
-                    .iter()
-                    .map(|s| s.nx_local)
-                    .collect();
-                let plane_cells = cfg.channel.dims.ny * cfg.channel.dims.nz;
-                let plan =
-                    RecoveryPlan::for_death(&Partition::new(nominal, plane_cells), rank);
-                write_epoch_file(dir, &EpochInfo { epoch, dead: rank, plan: plan.summary() })?;
-                spawn_rank(rank, epoch, true)
-            })();
-            match step {
-                Ok(c) => {
-                    *slot = Some(c);
-                    all_done = false;
-                }
-                Err(e) => {
-                    *slot = None;
-                    rank_errors.push((rank, e));
-                    break 'supervision;
-                }
-            }
+            rank_errors.push((rank, error));
         }
-        if all_done {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(15));
     }
-    // On abort, reap everything still running and collect any typed
-    // errors the kill shook loose.
     if !rank_errors.is_empty() {
-        for (rank, slot) in live.iter_mut().enumerate() {
-            if let Some(child) = slot.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-                let err_path = dir.join(format!("rank{rank}.error"));
-                if let Ok(text) = fs::read_to_string(&err_path) {
-                    rank_errors.push((rank, text.trim().to_string()));
-                }
-            }
-        }
+        // Tell the survivors waiting for a new epoch that none is coming:
+        // they exit with their typed error and a flushed trace. Whoever
+        // has not exited within the grace is killed.
+        let _ = publish(&dir.join("epoch"), &[STOP_NOTICE.as_bytes()]);
+        rank_errors.extend(sup.shutdown(STOP_GRACE));
         rank_errors.sort_by_key(|&(r, _)| r);
         rank_errors.dedup_by(|a, b| a.0 == b.0);
+        let (n, at) = (rank_errors.len(), dir.display());
+        let message = format!("{n} of {} ranks failed (partial traces in {at})", cfg.ranks);
+        return Err(MpFailure { rank_errors, ..fail(message) });
     }
-    rank_errors
+    gather(cfg, &dir).map_err(fail)
+}
+
+/// How long ranks get to act on the stop notice before they are killed.
+const STOP_GRACE: Duration = Duration::from_secs(2);
+
+/// Publishes epoch `epoch` after `dead` crashed, with the audit plan:
+/// where the dead rank's planes would land had the survivors absorbed
+/// them (see [`EpochInfo::plan`]).
+fn publish_epoch(cfg: &MpConfig, dir: &Path, dead: usize, epoch: u64) -> Result<(), String> {
+    let nominal: Vec<usize> = even_slabs(cfg.channel.dims.nx, cfg.ranks)
+        .iter()
+        .map(|s| s.nx_local)
+        .collect();
+    let plane_cells = cfg.channel.dims.ny * cfg.channel.dims.nz;
+    let plan = RecoveryPlan::for_death(&Partition::new(nominal, plane_cells), dead).summary();
+    write_epoch_file(dir, &EpochInfo { epoch, dead, plan })
 }
 
 /// Reads every rank's artifacts and assembles the outcome.
@@ -573,11 +484,18 @@ pub fn write_epoch_file(dir: &Path, info: &EpochInfo) -> Result<(), String> {
     publish(&path, &[text.as_bytes()]).map_err(|e| format!("publish {}: {e}", path.display()))
 }
 
-/// Reads `dir/epoch`; `None` when absent or unparseable (a torn write is
-/// impossible by construction, but a missing file is the normal state of
-/// an undisturbed run).
+/// The epoch file's terminal notice: the driver has stopped the run, and
+/// no further epoch will be published.
+const STOP_NOTICE: &str = "stop\n";
+
+/// Reads `dir/epoch`; `None` when absent, unparseable or a stop notice (a
+/// torn write is impossible by construction, but a missing file is the
+/// normal state of an undisturbed run).
 pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
-    let text = fs::read_to_string(dir.join("epoch")).ok()?;
+    parse_epoch(&fs::read_to_string(dir.join("epoch")).ok()?)
+}
+
+fn parse_epoch(text: &str) -> Option<EpochInfo> {
     let get = |key: &str| {
         text.lines().find_map(|l| l.strip_prefix(key)).map(|v| v.trim().to_string())
     };
@@ -650,18 +568,10 @@ pub struct MpWorkerArgs {
     pub die_at_phase: Option<u64>,
     /// Which protocol step the injected death strikes.
     pub die_site: FaultSite,
-    /// The driver supervises this run: on a lost peer, poll the epoch
-    /// file and re-mesh instead of failing.
-    pub supervised: bool,
     /// Membership epoch to rendezvous at (1 = initial mesh; a respawned
-    /// replacement starts at the epoch its driver published).
+    /// replacement starts at the epoch its driver published and recovers
+    /// from checkpoints exactly like a survivor).
     pub epoch: u64,
-    /// This process replaces a dead rank: it recovers from checkpoints
-    /// exactly like a survivor instead of starting the run fresh.
-    pub rejoin: bool,
-    /// How long a survivor waits for the driver to publish the next
-    /// epoch before giving up (milliseconds).
-    pub epoch_wait_ms: u64,
 }
 
 /// A [`Transport`] wrapper that kills the process partway through a
@@ -704,14 +614,14 @@ impl<T: Transport> Transport for FaultTransport<T> {
         if tag == Tag::F_HALO {
             self.f_halo_sends += 1;
             if self.site == FaultSite::Halo && self.f_halo_sends >= self.die_on_send {
-                std::process::exit(13);
+                std::process::exit(FAULT_EXIT);
             }
         }
         if self.site == FaultSite::Remap
             && tag == Tag::LOAD
             && self.f_halo_sends >= self.die_on_send
         {
-            std::process::exit(13);
+            std::process::exit(FAULT_EXIT);
         }
         self.inner.send(to, tag, payload)
     }
@@ -729,122 +639,99 @@ fn throttle_plan(a: &MpWorkerArgs) -> ThrottlePlan {
     throttle
 }
 
+/// The rank's solver: its even slab fresh, or restored from its periodic
+/// checkpoint of phase `from`.
+fn rank_solver(
+    a: &MpWorkerArgs,
+    cfg: &WorkerConfig,
+    from: Option<u64>,
+) -> Result<SlabSolver, WorkerError> {
+    let Some(phase) = from else {
+        let slab = even_slabs(cfg.channel.dims.nx, a.ranks)[a.rank];
+        return Ok(SlabSolver::new(&cfg.channel, slab));
+    };
+    let path = checkpoint_path(a, phase);
+    load_sealed(&cfg.channel, &path)
+        .map(|(solver, _)| solver)
+        .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))
+}
+
+fn checkpoint_path(a: &MpWorkerArgs, phase: u64) -> PathBuf {
+    a.dir.join(format!("ckpt-rank{}-phase{phase}.bin", a.rank))
+}
+
 fn execute<T: Transport>(
     a: &MpWorkerArgs,
     cfg: &WorkerConfig,
     policy: &dyn NeighborPolicy,
     transport: T,
+    solver: SlabSolver,
 ) -> Result<WorkerReport, WorkerError> {
     let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
-    let throttle = throttle_plan(a);
-    match a.resume_phase {
-        None => {
-            let slab = even_slabs(cfg.channel.dims.nx, a.ranks)[a.rank];
-            worker_main(cfg, policy, &predictor, transport, slab, throttle)
-        }
-        Some(p) => {
-            let path = a.dir.join(format!("ckpt-rank{}-phase{p}.bin", a.rank));
-            let (solver, _) = load_sealed(&cfg.channel, &path)
-                .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-            worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
-        }
-    }
+    worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle_plan(a))
 }
 
 /// One recovery attempt (epoch > 1): agree on the rollback phase over the
 /// fresh mesh, restore the newest common checkpoint (or restart fresh),
 /// and run the remaining phases. Emits the rollback → plan-applied →
-/// resumed stages of the recovery arc.
+/// resumed stages of the recovery arc through `record`.
 fn execute_recovery<T: Transport>(
     a: &MpWorkerArgs,
     cfg: &mut WorkerConfig,
     policy: &dyn NeighborPolicy,
-    sink: &TraceSink,
-    t0: Instant,
-    epoch: u64,
+    record: &dyn Fn(RecoveryStage, u64, usize, String),
     mut transport: T,
 ) -> Result<WorkerReport, WorkerError> {
-    let rank = a.rank;
-    let now = |t0: Instant| t0.elapsed().as_secs_f64();
-    let mine = checkpoint_phases(&a.dir, rank);
+    let mine = checkpoint_phases(&a.dir, a.rank);
     let agreed = recovery_sync(&mut transport, &mine).map_err(WorkerError::Comm)?;
-    sink.record(Event::Recovery {
-        time: now(t0),
-        node: rank,
-        epoch,
-        stage: RecoveryStage::Rollback,
-        phase: agreed,
-        planes: 0,
-        detail: if agreed == 0 {
-            format!("no common checkpoint among {} ranks; restarting fresh", a.ranks)
-        } else {
-            format!("rolling back to the newest common checkpoint, phase {agreed}")
+    let restored = (agreed > 0).then_some(agreed);
+    record(
+        RecoveryStage::Rollback,
+        agreed,
+        0,
+        match restored {
+            None => format!("no common checkpoint among {} ranks; restarting fresh", a.ranks),
+            Some(p) => format!("rolling back to the newest common checkpoint, phase {p}"),
         },
-    });
-    let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
-    let throttle = throttle_plan(a);
+    );
     cfg.start_phase = agreed;
-    if agreed == 0 {
-        let slab = even_slabs(cfg.channel.dims.nx, a.ranks)[rank];
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::PlanApplied,
-            phase: 0,
-            planes: slab.nx_local,
-            detail: format!("fresh slab x0={} nx={}", slab.x0, slab.nx_local),
-        });
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::Resumed,
-            phase: 0,
-            planes: slab.nx_local,
-            detail: format!("phase loop restarted at 1 of {}", cfg.phases),
-        });
-        worker_main(cfg, policy, &predictor, transport, slab, throttle)
-    } else {
-        let path = a.dir.join(format!("ckpt-rank{rank}-phase{agreed}.bin"));
-        let (solver, _) = load_sealed(&cfg.channel, &path)
-            .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-        let slab = solver.slab();
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::PlanApplied,
-            phase: agreed,
-            planes: slab.nx_local,
-            detail: format!(
+    let solver = rank_solver(a, cfg, restored)?;
+    let slab = solver.slab();
+    let (applied, resumed) = match restored {
+        None => (
+            format!("fresh slab x0={} nx={}", slab.x0, slab.nx_local),
+            format!("phase loop restarted at 1 of {}", cfg.phases),
+        ),
+        Some(p) => (
+            format!(
                 "restored {} (slab x0={} nx={})",
-                path.display(),
+                checkpoint_path(a, p).display(),
                 slab.x0,
                 slab.nx_local
             ),
-        });
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::Resumed,
-            phase: agreed,
-            planes: slab.nx_local,
-            detail: format!("phase loop resumed at {} of {}", agreed + 1, cfg.phases),
-        });
-        worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
-    }
+            format!("phase loop resumed at {} of {}", p + 1, cfg.phases),
+        ),
+    };
+    record(RecoveryStage::PlanApplied, agreed, slab.nx_local, applied);
+    record(RecoveryStage::Resumed, agreed, slab.nx_local, resumed);
+    execute(a, cfg, policy, transport, solver)
 }
 
+/// How long a survivor waits for the driver's next epoch or stop notice:
+/// the bound keeps an orphaned survivor (driver died too) from hanging
+/// forever.
+const EPOCH_WAIT: Duration = Duration::from_secs(30);
+
 /// Polls the epoch file until the driver publishes an epoch newer than
-/// `current`, up to `wait`. The bound keeps an orphaned survivor (driver
-/// died too) from hanging forever.
-fn wait_for_epoch(dir: &Path, current: u64, wait: Duration) -> Option<EpochInfo> {
-    let deadline = Instant::now() + wait;
+/// `current`; `None` on the driver's stop notice or after [`EPOCH_WAIT`].
+fn wait_for_epoch(dir: &Path, current: u64) -> Option<EpochInfo> {
+    let deadline = Instant::now() + EPOCH_WAIT;
     loop {
-        if let Some(info) = read_epoch_file(dir) {
-            if info.epoch > current {
+        if let Ok(text) = fs::read_to_string(dir.join("epoch")) {
+            if text == STOP_NOTICE {
+                return None;
+            }
+            if let Some(info) = parse_epoch(&text).filter(|info| info.epoch > current) {
                 return Some(info);
             }
         }
@@ -855,13 +742,14 @@ fn wait_for_epoch(dir: &Path, current: u64, wait: Duration) -> Option<EpochInfo>
     }
 }
 
-/// The supervised attempt loop: connect at the current epoch and run; on
-/// a lost peer, emit the death-detected stage, wait for the driver to
-/// publish the next epoch, and re-mesh. Any other failure is final.
+/// The attempt loop: connect at the current epoch and run; on a lost
+/// peer, emit the death-detected stage, wait for the driver to publish
+/// the next epoch, and re-mesh. Any other failure, or the driver's stop
+/// notice, is final.
 /// Rollback recovery replays identical deterministic physics from a
 /// bitwise checkpoint of the same run, so the final fields match the
 /// undisturbed run exactly — the property the chaos tests pin.
-fn run_supervised(
+fn run_epochs(
     a: &MpWorkerArgs,
     cfg: &mut WorkerConfig,
     policy: &dyn NeighborPolicy,
@@ -872,55 +760,36 @@ fn run_supervised(
     let rank = a.rank;
     let mut epoch = a.epoch.max(1);
     loop {
+        let record = move |stage, phase, planes, detail| {
+            let time = t0.elapsed().as_secs_f64();
+            sink.record(Event::Recovery { time, node: rank, epoch, stage, phase, planes, detail });
+        };
         let transport = connect_epoch(Some(rank), a.ranks, &a.dir, epoch, net)
             .map_err(WorkerError::Comm)?;
-        if epoch > 1 {
-            sink.record(Event::Recovery {
-                time: t0.elapsed().as_secs_f64(),
-                node: rank,
-                epoch,
-                stage: RecoveryStage::Remesh,
-                phase: 0,
-                planes: 0,
-                detail: format!("re-meshed {} ranks at epoch {epoch}", a.ranks),
-            });
-        }
         let attempt = if epoch == 1 {
+            let solver = rank_solver(a, cfg, a.resume_phase)?;
             match a.die_at_phase {
-                Some(p) => execute(
-                    a,
-                    cfg,
-                    policy,
-                    FaultTransport::new(transport, p, a.die_site),
-                ),
-                None => execute(a, cfg, policy, transport),
+                Some(p) => {
+                    let transport = FaultTransport::new(transport, p, a.die_site);
+                    execute(a, cfg, policy, transport, solver)
+                }
+                None => execute(a, cfg, policy, transport, solver),
             }
         } else {
-            execute_recovery(a, cfg, policy, sink, t0, epoch, transport)
+            let detail = format!("re-meshed {} ranks at epoch {epoch}", a.ranks);
+            record(RecoveryStage::Remesh, 0, 0, detail);
+            execute_recovery(a, cfg, policy, &record, transport)
         };
         match attempt {
             Err(WorkerError::Comm(CommError::Disconnected { peer })) => {
                 // A peer died mid-protocol. Our own transport was dropped
                 // with the failed attempt, cascading goodbye frames so
                 // every survivor reaches this point within milliseconds.
-                sink.record(Event::Recovery {
-                    time: t0.elapsed().as_secs_f64(),
-                    node: rank,
-                    epoch,
-                    stage: RecoveryStage::DeathDetected,
-                    phase: 0,
-                    planes: 0,
-                    detail: format!("lost peer {peer} (epoch {epoch}); awaiting new epoch"),
-                });
-                match wait_for_epoch(
-                    &a.dir,
-                    epoch,
-                    Duration::from_millis(a.epoch_wait_ms.max(1)),
-                ) {
+                let detail = format!("lost peer {peer} (epoch {epoch}); awaiting new epoch");
+                record(RecoveryStage::DeathDetected, 0, 0, detail);
+                match wait_for_epoch(&a.dir, epoch) {
                     Some(info) => epoch = info.epoch,
-                    None => {
-                        return Err(WorkerError::Comm(CommError::Disconnected { peer }))
-                    }
+                    None => return Err(WorkerError::Comm(CommError::Disconnected { peer })),
                 }
             }
             other => return other,
@@ -932,8 +801,16 @@ fn run_supervised(
 /// the standard worker protocol, and leaves `rank{r}.state` /
 /// `rank{r}.report` / `rank{r}.jsonl` in the run directory. On failure
 /// the trace is still flushed and `rank{r}.error` carries the typed
-/// error.
+/// error, which tells the driver's supervisor not to respawn the rank.
 pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
+    run_rank(a).map_err(|e| {
+        let err_path = a.dir.join(format!("rank{}.error", a.rank));
+        let _ = fs::write(err_path, format!("{e}\n"));
+        format!("rank {} failed: {e}", a.rank)
+    })
+}
+
+fn run_rank(a: &MpWorkerArgs) -> Result<(), String> {
     let rank = a.rank;
     let config_path = a.dir.join("config.bin");
     let config_bytes = fs::read(&config_path)
@@ -970,21 +847,7 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     };
 
     let net = NetConfig::default();
-    let result = if a.supervised {
-        run_supervised(a, &mut cfg, policy.as_ref(), &sink, &net, t0)
-    } else {
-        connect_epoch(Some(rank), a.ranks, &a.dir, a.epoch.max(1), &net)
-            .map_err(WorkerError::Comm)
-            .and_then(|transport| match a.die_at_phase {
-                Some(p) => execute(
-                    a,
-                    &cfg,
-                    policy.as_ref(),
-                    FaultTransport::new(transport, p, a.die_site),
-                ),
-                None => execute(a, &cfg, policy.as_ref(), transport),
-            })
-    };
+    let result = run_epochs(a, &mut cfg, policy.as_ref(), &sink, &net, t0);
 
     // The trace lands on disk no matter what: a failed rank must leave
     // its partial evidence (spans, traffic totals) behind.
@@ -1011,11 +874,7 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
                 .map_err(|e| format!("write {}: {e}", report_path.display()))?;
             Ok(())
         }
-        Err(e) => {
-            let err_path = a.dir.join(format!("rank{rank}.error"));
-            let _ = fs::write(&err_path, format!("{e}\n"));
-            Err(format!("rank {rank} failed: {e}"))
-        }
+        Err(e) => Err(e.to_string()),
     }
 }
 

@@ -12,10 +12,11 @@
 //!   sealed [`ResultArtifact`]s — duplicate scenarios, within one sweep
 //!   or across sweeps, are computed exactly once;
 //! * schedules **misses** onto a bounded pool of `microslip run-job`
-//!   subprocesses, supervised the way [`crate::mp`] supervises its ranks:
-//!   children are polled, a death is answered with a bounded respawn that
-//!   resumes from the newest CRC-valid checkpoint — a worker dying
-//!   mid-job restarts *that job*, it never fails the sweep.
+//!   subprocesses under the [`Supervisor`] that also runs [`crate::mp`]'s
+//!   ranks: a crash is answered with a bounded respawn that resumes from
+//!   the newest CRC-valid checkpoint — a worker dying mid-job restarts
+//!   *that job*, it never fails the sweep — while a job that fails with
+//!   a typed error fails once, with that error.
 //!
 //! **Why the cache is sound.** The solver is bitwise deterministic across
 //! substrates (the repository's core invariant), `run-job` executes the
@@ -30,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use microslip_codec::{
@@ -43,6 +44,9 @@ use microslip_net::wire::{Frame, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
 use crate::scenario::Scenario;
+use crate::supervise::{
+    Exit, Respawns, Supervisor, DEFAULT_MAX_RESPAWNS, FAULT_EXIT, POLL_INTERVAL,
+};
 
 /// Sweep-request magic ("MSLIPSW1" — microslip sweep v1).
 pub const SWEEP_MAGIC: [u8; 8] = *b"MSLIPSW1";
@@ -273,15 +277,17 @@ pub struct RunJobArgs {
     pub checkpoint_every: u64,
     /// Resume from the newest CRC-valid checkpoint instead of phase 0.
     pub resume: bool,
-    /// Fault injection: exit with code [`JOB_FAULT_EXIT`] *before*
+    /// Fault injection: exit with code [`FAULT_EXIT`] *before*
     /// stepping this phase (first attempt only; the daemon strips it on
     /// respawn).
     pub die_at_phase: Option<u64>,
 }
 
-/// Exit code `run-job` uses for an injected fault (distinct from 1 so a
-/// chaos kill is distinguishable from a real error in the logs).
-pub const JOB_FAULT_EXIT: i32 = 13;
+/// Where a failed `run-job` leaves its typed error: beside its `--out`
+/// artifact, with the extension `error`.
+fn job_error_path(out_path: &Path) -> PathBuf {
+    out_path.with_extension("error")
+}
 
 fn checkpoint_path(dir: &Path, phase: u64) -> PathBuf {
     dir.join(format!("ckpt-{phase:012}.bin"))
@@ -325,8 +331,16 @@ fn job_summary(scenario: &Scenario, key: &str) -> String {
 
 /// Runs one scenario to completion on the serial reference simulation
 /// (bitwise-identical to every parallel substrate), checkpointing on the
-/// requested cadence, and seals the result artifact.
+/// requested cadence, and seals the result artifact. On failure the
+/// error is also written beside the artifact, which tells the daemon's
+/// supervisor not to respawn the job.
 pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
+    execute_job(args).inspect_err(|e| {
+        let _ = std::fs::write(job_error_path(&args.out_path), format!("{e}\n"));
+    })
+}
+
+fn execute_job(args: &RunJobArgs) -> Result<(), String> {
     let bytes = std::fs::read(&args.scenario_path)
         .map_err(|e| format!("reading {}: {e}", args.scenario_path.display()))?;
     let scenario = Scenario::decode(&bytes)?;
@@ -346,7 +360,7 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
         if args.die_at_phase == Some(sim.phase()) {
             // Injected fault: die exactly here, after any checkpoints
             // below this phase have been sealed.
-            std::process::exit(JOB_FAULT_EXIT);
+            std::process::exit(FAULT_EXIT);
         }
         sim.step();
         if args.checkpoint_every > 0 && sim.phase().is_multiple_of(args.checkpoint_every) {
@@ -383,8 +397,8 @@ pub struct ServeConfig {
     pub worker_exe: PathBuf,
     /// Bounded worker pool size.
     pub max_workers: usize,
-    /// Respawn budget per job (the `mp` default: 3).
-    pub max_respawns: usize,
+    /// Respawn budget per job.
+    pub max_respawns: Respawns,
     /// Keep at most this many cache entries (0 = unbounded); oldest are
     /// evicted after each sweep completes.
     pub cache_capacity: usize,
@@ -401,7 +415,7 @@ impl ServeConfig {
             dir: dir.into(),
             worker_exe: worker_exe.into(),
             max_workers: 2,
-            max_respawns: 3,
+            max_respawns: DEFAULT_MAX_RESPAWNS,
             cache_capacity: 0,
             chaos: None,
         }
@@ -411,16 +425,14 @@ impl ServeConfig {
 #[derive(Debug)]
 enum JobState {
     Queued,
-    Running { child: Child },
+    Running,
     Done,
     Failed { detail: String },
 }
 
 struct Job {
-    key: String,
     sweep: u64,
     state: JobState,
-    respawns: usize,
     checkpoint_every: u64,
     die_at_phase: Option<u64>,
 }
@@ -429,6 +441,8 @@ struct Daemon {
     cfg: ServeConfig,
     store: CacheStore,
     jobs: HashMap<String, Job>,
+    /// Owns every running `run-job` child, keyed by job key.
+    sup: Supervisor<String>,
     /// Scheduling order (submission order — deterministic).
     queue: Vec<String>,
     sweeps: u64,
@@ -533,10 +547,8 @@ impl Daemon {
             self.jobs.insert(
                 key.clone(),
                 Job {
-                    key: key.clone(),
                     sweep,
                     state: JobState::Queued,
-                    respawns: 0,
                     checkpoint_every: cadence,
                     die_at_phase,
                 },
@@ -583,18 +595,17 @@ impl Daemon {
         let mut busy = 0usize;
         for key in &self.queue {
             let Some(job) = self.jobs.get(key) else { continue };
-            if matches!(job.state, JobState::Queued | JobState::Running { .. }) {
+            if matches!(job.state, JobState::Queued | JobState::Running) {
                 busy += 1;
             }
             if sweep != 0 && job.sweep != sweep {
                 continue;
             }
             out.push_str(&format!(
-                "job key={} sweep={} state={} respawns={}",
-                job.key,
+                "job key={key} sweep={} state={} respawns={}",
                 job.sweep,
                 state_name(&job.state),
-                job.respawns
+                self.sup.respawns(key)
             ));
             if let JobState::Failed { detail } = &job.state {
                 out.push_str(&format!(" detail={detail}"));
@@ -605,20 +616,21 @@ impl Daemon {
         out
     }
 
-    /// Spawns one `run-job` child for `key`.
-    fn spawn(&mut self, key: &str, resume: bool) -> Result<Child, String> {
+    /// Spawns one `run-job` child for `key` under the supervisor.
+    fn spawn(&mut self, key: &str, resume: bool) -> Result<(), String> {
         let Some(job) = self.jobs.get(key) else {
             return Err(format!("spawn of unknown job {key}"));
         };
         let dir = self.job_dir(key);
         let stderr = std::fs::File::create(dir.join("job.stderr"))
             .map_err(|e| format!("job stderr file: {e}"))?;
+        let out = dir.join("result.artifact");
         let mut cmd = Command::new(&self.cfg.worker_exe);
         cmd.arg("run-job")
             .arg("--scenario")
             .arg(dir.join("scenario.bin"))
             .arg("--out")
-            .arg(dir.join("result.artifact"))
+            .arg(&out)
             .arg("--checkpoint-dir")
             .arg(dir.join("ckpt"))
             .arg("--checkpoint-every")
@@ -633,85 +645,58 @@ impl Daemon {
             // Chaos lands on the first attempt only; the respawn runs clean.
             cmd.arg("--die-at-phase").arg(phase.to_string());
         }
-        cmd.spawn().map_err(|e| format!("spawning run-job for {key}: {e}"))
+        self.sup
+            .spawn(key.to_string(), &mut cmd, job_error_path(&out))
+            .map_err(|e| format!("spawning run-job for {key}: {e}"))
     }
 
-    /// One supervision round, the `mp` pattern at job granularity: start
-    /// queued jobs while pool slots are free, poll running children,
-    /// absorb exits. Returns true when anything changed (so the caller
-    /// can skip its idle sleep).
+    /// One supervision round: absorb the exits the supervisor reaped,
+    /// then start queued jobs while pool slots are free. Returns true
+    /// when anything changed (so the caller can skip its idle sleep).
     fn supervise(&mut self) -> bool {
-        let mut changed = false;
-        // Reap finished children first so their slots free up this round.
-        let keys: Vec<String> = self.queue.clone();
-        for key in &keys {
-            let Some(job) = self.jobs.get_mut(key) else { continue };
-            let JobState::Running { child } = &mut job.state else { continue };
-            let status = match child.try_wait() {
-                Ok(Some(status)) => status,
-                Ok(None) => continue,
-                Err(e) => {
-                    let detail = format!("wait failed: {e}");
-                    job.state = JobState::Failed { detail: detail.clone() };
-                    let sweep = job.sweep;
-                    self.record(sweep, key, JobStage::Failed, 0, &detail);
-                    changed = true;
-                    continue;
+        let exits = self.sup.poll();
+        let mut changed = !exits.is_empty();
+        for (key, exit) in exits {
+            let failure = match exit {
+                Exit::Done => self.absorb_result(&key).err(),
+                Exit::Crashed(status) => {
+                    // Checkpoint-restart of *that job*: requeue it; its
+                    // next spawn resumes.
+                    let attempt = self.sup.respawns(&key);
+                    let detail = format!("child died ({status}); respawn {attempt} will resume");
+                    self.transition(&key, JobState::Queued, JobStage::Restarted, 0, &detail);
+                    None
                 }
+                Exit::GaveUp(status) => Some(format!(
+                    "child died ({status}); respawn budget {} exhausted",
+                    self.cfg.max_respawns
+                )),
+                Exit::Failed(detail) | Exit::Lost(detail) => Some(detail),
             };
-            changed = true;
-            if status.success() {
-                match self.absorb_result(key) {
-                    Ok(()) => {}
-                    Err(detail) => {
-                        if let Some(job) = self.jobs.get_mut(key) {
-                            let sweep = job.sweep;
-                            job.state = JobState::Failed { detail: detail.clone() };
-                            self.record(sweep, key, JobStage::Failed, 0, &detail);
-                        }
-                    }
-                }
-            } else {
-                self.handle_death(key, &status.to_string());
+            if let Some(detail) = failure {
+                self.fail(&key, detail);
             }
         }
         // Fill free pool slots in submission order.
-        let running = self
-            .jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Running { .. }))
-            .count();
-        let mut slots = self.cfg.max_workers.saturating_sub(running);
-        for key in &keys {
+        let mut slots = self.cfg.max_workers.saturating_sub(self.sup.running());
+        for key in self.queue.clone() {
             if slots == 0 {
                 break;
             }
-            let Some(job) = self.jobs.get(key) else { continue };
+            let Some(job) = self.jobs.get(&key) else { continue };
             if !matches!(job.state, JobState::Queued) {
                 continue;
             }
-            let resume = job.respawns > 0;
-            match self.spawn(key, resume) {
-                Ok(child) => {
-                    if let Some(job) = self.jobs.get_mut(key) {
-                        let sweep = job.sweep;
-                        let stage =
-                            if resume { JobStage::Restarted } else { JobStage::Started };
-                        job.state = JobState::Running { child };
-                        self.record(sweep, key, stage, 0, "");
-                    }
+            let resume = self.sup.respawns(&key) > 0;
+            match self.spawn(&key, resume) {
+                Ok(()) => {
+                    let stage = if resume { JobStage::Restarted } else { JobStage::Started };
+                    self.transition(&key, JobState::Running, stage, 0, "");
                     slots -= 1;
-                    changed = true;
                 }
-                Err(detail) => {
-                    if let Some(job) = self.jobs.get_mut(key) {
-                        let sweep = job.sweep;
-                        job.state = JobState::Failed { detail: detail.clone() };
-                        self.record(sweep, key, JobStage::Failed, 0, &detail);
-                    }
-                    changed = true;
-                }
+                Err(detail) => self.fail(&key, detail),
             }
+            changed = true;
         }
         changed
     }
@@ -725,38 +710,27 @@ impl Daemon {
             return Err(format!("artifact claims key {}, expected {key}", artifact.key));
         }
         self.store.put_sealed(key, &sealed)?;
-        if let Some(job) = self.jobs.get_mut(key) {
-            let sweep = job.sweep;
-            let phases = artifact.phases;
-            job.state = JobState::Done;
-            self.record(sweep, key, JobStage::Done, phases, "");
-        }
+        self.transition(key, JobState::Done, JobStage::Done, artifact.phases, "");
         Ok(())
     }
 
-    /// A child died: bounded respawn with `--resume` (checkpoint-restart
-    /// of *that job*), or a typed failure once the budget is exhausted.
-    fn handle_death(&mut self, key: &str, status: &str) {
+    /// Moves job `key` to state `to`, on the record as `stage`.
+    fn transition(&mut self, key: &str, to: JobState, stage: JobStage, phase: u64, detail: &str) {
         let Some(job) = self.jobs.get_mut(key) else { return };
+        job.state = to;
         let sweep = job.sweep;
-        if job.respawns < self.cfg.max_respawns {
-            job.respawns += 1;
-            let attempt = job.respawns;
-            job.state = JobState::Queued;
-            let detail = format!("child died ({status}); respawn {attempt} will resume");
-            self.record(sweep, key, JobStage::Restarted, 0, &detail);
-        } else {
-            let detail =
-                format!("child died ({status}); respawn budget {} exhausted", self.cfg.max_respawns);
-            job.state = JobState::Failed { detail: detail.clone() };
-            self.record(sweep, key, JobStage::Failed, 0, &detail);
-        }
+        self.record(sweep, key, stage, phase, detail);
+    }
+
+    fn fail(&mut self, key: &str, detail: String) {
+        let state = JobState::Failed { detail: detail.clone() };
+        self.transition(key, state, JobStage::Failed, 0, &detail);
     }
 
     fn busy(&self) -> bool {
         self.jobs
             .values()
-            .any(|j| matches!(j.state, JobState::Queued | JobState::Running { .. }))
+            .any(|j| matches!(j.state, JobState::Queued | JobState::Running))
     }
 
     /// Writes `serve.jsonl` and `serve.summary.json` into the run dir.
@@ -773,7 +747,7 @@ impl Daemon {
 fn state_name(state: &JobState) -> &'static str {
     match state {
         JobState::Queued => "queued",
-        JobState::Running { .. } => "running",
+        JobState::Running => "running",
         JobState::Done => "done",
         JobState::Failed { .. } => "failed",
     }
@@ -797,6 +771,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
         cfg: cfg.clone(),
         store,
         jobs: HashMap::new(),
+        sup: Supervisor::new(cfg.max_respawns),
         queue: Vec::new(),
         sweeps: 0,
         scheduled: 0,
@@ -823,7 +798,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
             break;
         }
         if !handled && !progressed {
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
     if daemon.cfg.cache_capacity > 0 {
@@ -838,9 +813,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
     daemon.write_trace()?;
     let failed: Vec<&str> = daemon
         .jobs
-        .values()
-        .filter(|j| matches!(j.state, JobState::Failed { .. }))
-        .map(|j| j.key.as_str())
+        .iter()
+        .filter(|(_, j)| matches!(j.state, JobState::Failed { .. }))
+        .map(|(key, _)| key.as_str())
         .collect();
     println!(
         "serve: shut down after {} sweeps, {} jobs scheduled, {} failed",

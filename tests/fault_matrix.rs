@@ -58,7 +58,6 @@ fn recover_from(
     mp.config_mut().dir = Some(dir.clone());
     mp.config_mut().checkpoint_every = checkpoint_every;
     mp.config_mut().fault = Some(fault);
-    mp.config_mut().recover = true;
     let got = mp.run().unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
     (want, got)
 }

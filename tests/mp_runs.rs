@@ -112,6 +112,19 @@ fn mp_restart_from_periodic_checkpoints_is_bitwise() {
 }
 
 #[test]
+fn stale_error_file_in_a_reused_run_dir_does_not_fail_a_clean_run() {
+    let dir = scratch_dir("stale-error");
+    fs::write(dir.join("rank0.error"), "old failure from an earlier run\n").unwrap();
+    let mut mp = builder(2, 4).multiprocess().unwrap();
+    mp.config_mut().worker_exe = Some(WORKER_EXE.into());
+    mp.config_mut().dir = Some(dir.clone());
+    let outcome = mp.run().expect("a stale error file must not fail a clean run");
+    assert_eq!(outcome.reports.len(), 2);
+    assert!(!dir.join("rank0.error").exists(), "the stale error file is cleared");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn killed_rank_surfaces_typed_errors_and_partial_traces() {
     let dir = scratch_dir("fault");
     let mut mp = builder(2, 8).multiprocess().unwrap();
@@ -119,6 +132,7 @@ fn killed_rank_surfaces_typed_errors_and_partial_traces() {
     mp.config_mut().dir = Some(dir.clone());
     mp.config_mut().fault =
         Some(MpFault { rank: 1, die_at_phase: 3, site: FaultSite::Halo });
+    mp.config_mut().max_respawns = 0;
 
     let failure = mp.run().expect_err("a killed rank must fail the run");
     assert_eq!(failure.rank_errors.len(), 2, "{failure}");
@@ -173,7 +187,6 @@ fn chaos_kill_and_rejoin_recovers_bitwise_with_full_recovery_arc() {
     mp.config_mut().checkpoint_every = 3;
     mp.config_mut().fault =
         Some(MpFault { rank: 2, die_at_phase: 7, site: FaultSite::Halo });
-    mp.config_mut().recover = true;
     let got = mp.run().expect("chaos run failed to recover");
 
     // The tentpole property: checkpoint rollback replays the identical

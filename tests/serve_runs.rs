@@ -194,3 +194,31 @@ fn killed_worker_restarts_from_checkpoint_and_matches_direct_run_bitwise() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deterministic_job_failure_fails_once_with_its_typed_error() {
+    let dir = scratch_dir("typed-failure");
+    let req = SweepRequest { base: base_scenario(4), checkpoint_every: Some(2), axes: vec![] };
+    // A regular file where the job's checkpoint directory must go: every
+    // attempt would fail the same way, so the job must not be respawned.
+    let job_dir = dir.join("jobs").join(req.base.key());
+    fs::create_dir_all(&job_dir).expect("create job dir");
+    fs::write(job_dir.join("ckpt"), b"not a directory").expect("block the checkpoint dir");
+    let (addr, handle) = start_daemon(ServeConfig::new(&dir, WORKER_EXE));
+
+    let ticket = serve::submit(&addr, &req).expect("submit");
+    assert_eq!(ticket.scheduled, 1);
+    let report = serve::wait_idle(&addr, Duration::from_secs(60)).expect("sweep settles");
+    let line = report.lines().find(|l| l.starts_with("job ")).expect("job line");
+    assert!(line.contains("state=failed respawns=0"), "must fail once: {line}");
+    assert!(line.contains("detail=creating "), "must carry run-job's error: {line}");
+
+    serve::shutdown(&addr).expect("shutdown");
+    let err = handle.join().expect("daemon thread").expect_err("a failed job fails the daemon");
+    assert!(err.contains(&ticket.keys[0]), "{err}");
+    let events = job_events(&dir);
+    assert_eq!(stage_count(&events, JobStage::Failed), 1);
+    assert_eq!(stage_count(&events, JobStage::Restarted), 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
