@@ -1,19 +1,19 @@
-//! Microbenchmarks of the LBM hot kernels: per-phase cost of collision,
-//! streaming, Shan-Chen forces and the velocity update on a two-component
-//! slab, plus the full sequential phase. These are the constants behind
+//! Microbenchmarks of the LBM hot kernels on a two-component slab: the
+//! fused collide→stream phase per collision operator (BGK, TRT, MRT) and
+//! across thread budgets, the Shan-Chen forces and the velocity update,
+//! plus the sequential `Simulation` step. These are the constants behind
 //! the cluster cost model's `site_update_rate`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use microslip_lbm::{ChannelConfig, Dims, Parallelism, Simulation, Slab, SlabSolver};
+use microslip_lbm::{
+    ChannelConfig, CollisionOperator, Dims, Parallelism, Simulation, Slab, SlabSolver,
+};
 
 fn slab_solver() -> SlabSolver {
-    let cfg = ChannelConfig::paper_scaled(Dims::new(20, 40, 10));
-    let mut s = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: 20 });
-    s.prime_periodic();
-    s
+    slab_solver_with(CollisionOperator::Bgk)
 }
 
-fn slab_solver_with(op: microslip_lbm::CollisionOperator) -> SlabSolver {
+fn slab_solver_with(op: CollisionOperator) -> SlabSolver {
     let mut cfg = ChannelConfig::paper_scaled(Dims::new(20, 40, 10));
     for (spec, _) in cfg.components.iter_mut() {
         spec.collision = op;
@@ -30,19 +30,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.sample_size(30);
 
     let mut s = slab_solver();
-    g.bench_function("collide", |b| b.iter(|| s.collide()));
-    let mut s = slab_solver_with(microslip_lbm::CollisionOperator::trt_magic());
-    g.bench_function("collide-trt", |b| b.iter(|| s.collide()));
-    let mut s = slab_solver_with(microslip_lbm::CollisionOperator::mrt_standard());
-    g.bench_function("collide-mrt", |b| b.iter(|| s.collide()));
-    let mut s = slab_solver();
-    g.bench_function("stream", |b| {
-        b.iter(|| {
-            s.f_ghosts_periodic();
-            s.stream();
-        })
-    });
-    let mut s = slab_solver();
     g.bench_function("psi+forces", |b| {
         b.iter(|| {
             s.compute_psi();
@@ -52,10 +39,16 @@ fn bench_kernels(c: &mut Criterion) {
     });
     let mut s = slab_solver();
     g.bench_function("velocities", |b| b.iter(|| s.compute_velocities()));
-    let mut s = slab_solver();
-    g.bench_function("full-phase", |b| b.iter(|| s.phase_periodic()));
-    let mut s = slab_solver();
-    g.bench_function("full-phase-fused", |b| b.iter(|| s.phase_periodic_fused()));
+    // One fused phase per collision operator keeps each operator's cost
+    // visible.
+    for (name, op) in [
+        ("full-phase-fused", CollisionOperator::Bgk),
+        ("full-phase-fused-trt", CollisionOperator::trt_magic()),
+        ("full-phase-fused-mrt", CollisionOperator::mrt_standard()),
+    ] {
+        let mut s = slab_solver_with(op);
+        g.bench_function(name, |b| b.iter(|| s.phase_periodic_fused()));
+    }
     for threads in [2usize, 4] {
         let mut s = slab_solver();
         s.set_parallelism(Parallelism::new(threads));
@@ -70,10 +63,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("simulation-step-16x32x8", |b| {
         let mut sim = Simulation::new(ChannelConfig::paper_scaled(Dims::new(16, 32, 8)));
         b.iter(|| sim.step())
-    });
-    g.bench_function("channel2d-step-64x32", |b| {
-        let mut ch = microslip_lbm::twodim::Channel2d::new(64, 32, 1.0, 1e-6);
-        b.iter(|| ch.step())
     });
     g.finish();
 }

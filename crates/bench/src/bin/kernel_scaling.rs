@@ -1,10 +1,11 @@
-//! Intra-slab kernel scaling: classic vs fused collide→stream schedules,
-//! and the fused schedule across rayon thread counts.
+//! Intra-slab kernel scaling: the fused collide→stream phase across rayon
+//! thread counts, against its own single-thread time.
 //!
 //! Times whole periodic phases on a single slab covering the full channel
-//! (the paper's 400×200×20 lattice by default) and writes the results to
-//! a JSON file for the experiment log. The min over `reps` timed phases is
-//! reported to suppress scheduler noise.
+//! (the paper's 400×200×20 lattice by default) and writes the results,
+//! with the host's core count, CPU model and AVX2 support, to a JSON file
+//! for the experiment log. The min over `reps` timed phases is reported to
+//! suppress scheduler noise.
 //!
 //! Usage:
 //!   kernel_scaling [--planes 400] [--ny 200] [--nz 20] [--reps 3]
@@ -38,26 +39,34 @@ fn solver(dims: Dims, par: Parallelism) -> SlabSolver {
 }
 
 /// Min seconds per phase over `reps` runs (after one warmup phase).
-fn time_phase(s: &mut SlabSolver, reps: usize, fused: bool) -> f64 {
-    let step = |s: &mut SlabSolver| {
-        if fused {
-            s.phase_periodic_fused();
-        } else {
-            s.phase_periodic();
-        }
-    };
-    step(s); // warmup: touches every page, fills caches
+fn time_phase(s: &mut SlabSolver, reps: usize) -> f64 {
+    s.phase_periodic_fused(); // warmup: touches every page, fills caches
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        step(s);
+        s.phase_periodic_fused();
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
 }
 
+/// The host's CPU model and whether it has AVX2 (which selects the SIMD
+/// collision and force kernels): with the core count, what makes two
+/// recordings comparable.
+fn cpu_fingerprint() -> (String, bool) {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name").and_then(|r| r.split_once(':')))
+        .map_or("unknown".to_string(), |(_, m)| m.trim().to_string());
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    (model, avx2)
+}
+
 struct Row {
-    variant: &'static str,
     threads: usize,
     /// Threads the kernels actually use: the configured count clamped to
     /// the host's available parallelism. Keeps the thread axis honest on
@@ -77,25 +86,21 @@ fn main() {
     let dims = Dims::new(nx, ny, nz);
     let cells = (nx * ny * nz) as f64;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("kernel scaling on {nx}x{ny}x{nz} ({cells:.0} cells), {cores} host core(s), min of {reps} phases");
+    let (cpu_model, avx2) = cpu_fingerprint();
+    println!(
+        "kernel scaling on {nx}x{ny}x{nz} ({cells:.0} cells), {cores} host core(s) ({cpu_model}, \
+         avx2 {avx2}), min of {reps} phases"
+    );
 
     let mut rows: Vec<Row> = Vec::new();
-    let secs = time_phase(&mut solver(dims, Parallelism::serial()), reps, false);
-    rows.push(Row { variant: "serial", threads: 1, effective_threads: 1, secs });
-    let secs = time_phase(&mut solver(dims, Parallelism::serial()), reps, true);
-    rows.push(Row { variant: "fused", threads: 1, effective_threads: 1, secs });
     for threads in [1usize, 2, 4, 8] {
         let par = Parallelism::new(threads);
-        let secs = time_phase(&mut solver(dims, par), reps, true);
-        rows.push(Row {
-            variant: "fused+rayon",
-            threads,
-            effective_threads: par.effective_threads(),
-            secs,
-        });
+        let secs = time_phase(&mut solver(dims, par), reps);
+        rows.push(Row { threads, effective_threads: par.effective_threads(), secs });
     }
 
-    let serial = rows[0].secs;
+    // The single-thread fused phase is the baseline.
+    let base = rows[0].secs;
     for r in &rows {
         let eff = if r.effective_threads == r.threads {
             String::new()
@@ -103,12 +108,11 @@ fn main() {
             format!(" (effective {}t)", r.effective_threads)
         };
         println!(
-            "  {:>12} {}t: {:.4}s/phase  {:6.2} MLUP/s  speedup {:.2}{eff}",
-            r.variant,
+            "  fused {}t: {:.4}s/phase  {:6.2} MLUP/s  speedup {:.2}{eff}",
             r.threads,
             r.secs,
             cells / r.secs / 1e6,
-            serial / r.secs
+            base / r.secs
         );
     }
 
@@ -116,17 +120,18 @@ fn main() {
     json.push_str(&format!("  \"dims\": [{nx}, {ny}, {nz}],\n"));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"host_cores\": {cores},\n"));
+    json.push_str(&format!("  \"cpu_model\": \"{}\",\n", microslip_obs::json::escape(&cpu_model)));
+    json.push_str(&format!("  \"avx2\": {avx2},\n"));
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"threads\": {}, \"effective_threads\": {}, \"secs_per_phase\": {:.6}, \"mlups\": {:.3}, \"speedup_vs_serial\": {:.3}}}{comma}\n",
-            r.variant,
+            "    {{\"threads\": {}, \"effective_threads\": {}, \"secs_per_phase\": {:.6}, \"mlups\": {:.3}, \"speedup_vs_1t\": {:.3}}}{comma}\n",
             r.threads,
             r.effective_threads,
             r.secs,
             cells / r.secs / 1e6,
-            serial / r.secs
+            base / r.secs
         ));
     }
     json.push_str("  ]\n}\n");

@@ -2,22 +2,11 @@
 //!
 //! Steady, body-force-driven laminar flow admits closed forms against which
 //! the LBM steady state is checked: plane Poiseuille flow between parallel
-//! plates (the 2-D validation) and the classic double-cosh series for a
-//! rectangular duct (the 3-D channel cross-section).
+//! plates with Navier slip (the pseudo-2-D slip validation) and the classic
+//! double-cosh series for a rectangular duct (the 3-D channel
+//! cross-section).
 
 use std::f64::consts::PI;
-
-/// Plane Poiseuille velocity at wall distance `d` for plate separation `h`,
-/// driving acceleration `g` and kinematic viscosity `nu`:
-/// `u(d) = g/(2ν) · d (h − d)`.
-pub fn plane_poiseuille(d: f64, h: f64, g: f64, nu: f64) -> f64 {
-    g / (2.0 * nu) * d * (h - d)
-}
-
-/// Maximum (centerline) plane Poiseuille velocity `g h² / (8ν)`.
-pub fn plane_poiseuille_max(h: f64, g: f64, nu: f64) -> f64 {
-    g * h * h / (8.0 * nu)
-}
 
 /// Plane Poiseuille flow with symmetric Navier slip conditions
 /// `u_wall = b · ∂u/∂n` on both plates: at wall distance `d` for plate
@@ -28,7 +17,7 @@ pub fn plane_poiseuille_max(h: f64, g: f64, nu: f64) -> f64 {
 /// u(d) = g/(2ν) · (d (h − d) + b h).
 /// ```
 ///
-/// `b = 0` recovers [`plane_poiseuille`]; `b → ∞` plug flow.
+/// `b = 0` is no-slip plane Poiseuille flow; `b → ∞` plug flow.
 pub fn slip_poiseuille(d: f64, h: f64, g: f64, nu: f64, b: f64) -> f64 {
     g / (2.0 * nu) * (d * (h - d) + b * h)
 }
@@ -122,24 +111,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plane_poiseuille_properties() {
+    fn no_slip_poiseuille_properties() {
         let (h, g, nu) = (10.0, 1e-5, 1.0 / 6.0);
+        let u = |d: f64| slip_poiseuille(d, h, g, nu, 0.0);
         // Zero at the walls.
-        assert_eq!(plane_poiseuille(0.0, h, g, nu), 0.0);
-        assert_eq!(plane_poiseuille(h, h, g, nu), 0.0);
-        // Maximum at the centerline matches the closed form.
-        let umax = plane_poiseuille(h / 2.0, h, g, nu);
-        assert!((umax - plane_poiseuille_max(h, g, nu)).abs() < 1e-18);
+        assert_eq!(u(0.0), 0.0);
+        assert_eq!(u(h), 0.0);
+        // Maximum at the centerline matches the closed form g h² / (8ν).
+        assert!((u(h / 2.0) - g * h * h / (8.0 * nu)).abs() < 1e-18);
         // Symmetric.
-        assert!((plane_poiseuille(2.0, h, g, nu) - plane_poiseuille(8.0, h, g, nu)).abs() < 1e-18);
+        assert!((u(2.0) - u(8.0)).abs() < 1e-18);
     }
 
     #[test]
     fn slip_poiseuille_limits() {
         let (h, g, nu) = (16.0, 1e-6, 1.0 / 6.0);
-        // b = 0 recovers the no-slip profile everywhere.
+        // b = 0 recovers the no-slip profile g/(2ν) · d (h − d) everywhere.
         for &d in &[0.0, 3.0, 8.0, 16.0] {
-            assert_eq!(slip_poiseuille(d, h, g, nu, 0.0), plane_poiseuille(d, h, g, nu));
+            assert_eq!(slip_poiseuille(d, h, g, nu, 0.0), g / (2.0 * nu) * d * (h - d));
         }
         // Finite b: uniform offset g b h / (2ν) above no-slip, so the wall
         // velocity is nonzero and the profile stays symmetric.
@@ -209,7 +198,7 @@ mod tests {
         for &y in &[0.0, 0.5, 0.9] {
             let duct = duct_velocity(y, 0.0, a, b, g, nu, 120);
             let d = y + a; // wall distance
-            let plane = plane_poiseuille(d, 2.0 * a, g, nu);
+            let plane = slip_poiseuille(d, 2.0 * a, g, nu, 0.0);
             assert!(
                 (duct - plane).abs() / plane.max(1e-12) < 1e-3,
                 "y={y}: duct {duct} vs plane {plane}"

@@ -245,7 +245,7 @@ mod tests {
     fn solver_slab_checkpoint_roundtrip() {
         let cfg = config();
         let mut s = SlabSolver::new(&cfg, Slab { x0: 3, nx_local: 4 });
-        s.prime_local_psi();
+        s.compute_psi();
         let bytes = save_solver(&s, 0);
         let (restored, phase) = load_solver(&cfg, &bytes).unwrap();
         assert_eq!(phase, 0);

@@ -14,10 +14,10 @@
 
 use crate::component::{CollisionOperator, ComponentState};
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use std::ops::Range;
 
-/// Applies one collision (BGK or TRT per the component's spec) to every
+/// Applies one collision (BGK, TRT or MRT per the component's spec) to every
 /// interior cell of `comp`.
 pub fn collide(comp: &mut ComponentState) {
     let grid = comp.grid();
@@ -26,8 +26,9 @@ pub fn collide(comp: &mut ComponentState) {
 }
 
 /// Applies one collision to the contiguous cell range `range` of `comp`
-/// (a sub-range of the interior). This is the unit of work of the
-/// plane-parallel and fused drivers; [`collide`] is the full-interior case.
+/// (a sub-range of the interior) — the edge-plane step of the fused phase
+/// ([`crate::solver::SlabSolver::collide_edges`]); [`collide`] is the
+/// full-interior case.
 pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
     let cells = comp.grid().cells();
     let op = comp.spec.collision;
@@ -261,7 +262,7 @@ mod tests {
             let cell = grid.idx(xl, 0, 0);
             let (n, _) = cell_moments(&c, cell);
             for i in 0..D3Q19::Q {
-                let feq = crate::equilibrium::feq_i::<D3Q19>(i, n, [0.0; 3]);
+                let feq = crate::equilibrium::feq_i(i, n, [0.0; 3]);
                 assert!((c.f.at(i, cell) - feq).abs() < 1e-13);
             }
         }

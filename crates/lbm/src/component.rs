@@ -8,7 +8,7 @@
 //! which acts on the water component only.
 
 use crate::field::{LocalGrid, SlabArray};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::potential::PsiFn;
 
 /// Collision operator of one component.
@@ -161,7 +161,7 @@ impl ComponentState {
     pub fn init_uniform(&mut self, n: f64, u: [f64; 3]) {
         let grid = self.grid();
         let mut feq = vec![0.0; D3Q19::Q];
-        crate::equilibrium::feq_all::<D3Q19>(n, u, &mut feq);
+        crate::equilibrium::feq_all(n, u, &mut feq);
         for xl in LocalGrid::FIRST..=grid.last() {
             for y in 0..grid.ny {
                 for z in 0..grid.nz {
@@ -188,7 +188,7 @@ impl ComponentState {
         for xl in LocalGrid::FIRST..=grid.last() {
             let n = n_of_x(x0 + xl - 1);
             assert!(n >= 0.0 && n.is_finite(), "invalid initial density {n}");
-            crate::equilibrium::feq_all::<D3Q19>(n, [0.0; 3], &mut feq);
+            crate::equilibrium::feq_all(n, [0.0; 3], &mut feq);
             for y in 0..grid.ny {
                 for z in 0..grid.nz {
                     let cell = grid.idx(xl, y, z);

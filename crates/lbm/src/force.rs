@@ -23,7 +23,7 @@
 
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::par::{ConstPtr, Parallelism, SendPtr};
 use crate::potential::PsiFn;
 

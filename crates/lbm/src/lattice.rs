@@ -1,41 +1,20 @@
-//! Discrete velocity sets (lattice descriptors) for the lattice Boltzmann
+//! The discrete velocity set (lattice descriptor) of the lattice Boltzmann
 //! method.
 //!
 //! The paper uses the D3Q19 lattice (Fig. 1): 19 discrete velocities in three
 //! dimensions — one rest vector, six axis-aligned vectors and twelve face
-//! diagonals. A D2Q9 descriptor is also provided for the two-dimensional
-//! mini-solver used in tests and the quickstart example.
+//! diagonals.
 //!
-//! Descriptors are plain `const` tables so kernels can be fully unrolled by
-//! the compiler; the invariants every valid descriptor must satisfy (weights
-//! sum to one, zero first moment, isotropic second moment, `opposite` is an
-//! involution) are checked in the unit tests below.
+//! The descriptor is a set of plain `const` tables so kernels can be fully
+//! unrolled by the compiler; the invariants it must satisfy (weights sum to
+//! one, zero first moment, isotropic second moment, `opposite` is an
+//! involution) are checked by [`validate`] in the unit tests below.
 
-/// Lattice sound speed squared, `c_s^2 = 1/3`, shared by D2Q9 and D3Q19.
+/// Lattice sound speed squared, `c_s^2 = 1/3`.
 pub const CS2: f64 = 1.0 / 3.0;
 
 /// Inverse of [`CS2`], used in equilibrium expansion.
 pub const INV_CS2: f64 = 3.0;
-
-/// A discrete velocity set in up to three dimensions.
-///
-/// Implementations expose their tables as associated constants so generic
-/// kernels monomorphize to straight-line code. Velocities are padded to
-/// three components; two-dimensional lattices set the `z` component to zero.
-pub trait Lattice: Copy + Send + Sync + 'static {
-    /// Spatial dimension (2 or 3).
-    const D: usize;
-    /// Number of discrete velocities.
-    const Q: usize;
-    /// Discrete velocity vectors `e_i`, padded to 3 components.
-    const E: &'static [[i32; 3]];
-    /// Quadrature weights `w_i`.
-    const W: &'static [f64];
-    /// Index of the opposite velocity: `E[OPP[i]] == -E[i]`.
-    const OPP: &'static [usize];
-    /// Human-readable name, e.g. `"D3Q19"`.
-    const NAME: &'static str;
-}
 
 /// The three-dimensional, nineteen-velocity lattice used by the paper.
 ///
@@ -46,10 +25,11 @@ pub trait Lattice: Copy + Send + Sync + 'static {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct D3Q19;
 
-impl Lattice for D3Q19 {
-    const D: usize = 3;
-    const Q: usize = 19;
-    const E: &'static [[i32; 3]] = &[
+impl D3Q19 {
+    /// Number of discrete velocities.
+    pub const Q: usize = 19;
+    /// Discrete velocity vectors `e_i`.
+    pub const E: &[[i32; 3]] = &[
         [0, 0, 0],
         [1, 0, 0],
         [-1, 0, 0],
@@ -70,7 +50,8 @@ impl Lattice for D3Q19 {
         [0, 1, -1],
         [0, -1, 1],
     ];
-    const W: &'static [f64] = &[
+    /// Quadrature weights `w_i`.
+    pub const W: &[f64] = &[
         1.0 / 3.0,
         1.0 / 18.0,
         1.0 / 18.0,
@@ -91,13 +72,10 @@ impl Lattice for D3Q19 {
         1.0 / 36.0,
         1.0 / 36.0,
     ];
-    const OPP: &'static [usize] = &[
+    /// Index of the opposite velocity: `E[OPP[i]] == -E[i]`.
+    pub const OPP: &[usize] = &[
         0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17,
     ];
-    const NAME: &'static str = "D3Q19";
-}
-
-impl D3Q19 {
     /// Directions with a positive x-component — the five populations a slab
     /// must send to its *right* neighbor each phase (paper §2.2).
     pub const POS_X: [usize; 5] = [1, 7, 9, 11, 13];
@@ -116,85 +94,53 @@ impl D3Q19 {
         [0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 13, 14, 11, 12, 17, 18, 15, 16];
 }
 
-/// The two-dimensional, nine-velocity lattice (rest + 4 axis + 4 diagonal).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct D2Q9;
-
-impl Lattice for D2Q9 {
-    const D: usize = 2;
-    const Q: usize = 9;
-    const E: &'static [[i32; 3]] = &[
-        [0, 0, 0],
-        [1, 0, 0],
-        [-1, 0, 0],
-        [0, 1, 0],
-        [0, -1, 0],
-        [1, 1, 0],
-        [-1, -1, 0],
-        [1, -1, 0],
-        [-1, 1, 0],
-    ];
-    const W: &'static [f64] = &[
-        4.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-    ];
-    const OPP: &'static [usize] = &[0, 2, 1, 4, 3, 6, 5, 8, 7];
-    const NAME: &'static str = "D2Q9";
-}
-
-/// Checks the moment identities a valid descriptor must satisfy.
+/// Checks the moment identities the descriptor must satisfy.
 ///
-/// Returns an error string naming the first violated identity; used by the
-/// test-suite and by `debug_assert!`s in solver constructors.
-pub fn validate<L: Lattice>() -> Result<(), String> {
-    if L::E.len() != L::Q || L::W.len() != L::Q || L::OPP.len() != L::Q {
-        return Err(format!("{}: table lengths do not match Q={}", L::NAME, L::Q));
+/// Returns an error string naming the first violated identity.
+pub fn validate() -> Result<(), String> {
+    const Q: usize = D3Q19::Q;
+    let (e, w, opp) = (D3Q19::E, D3Q19::W, D3Q19::OPP);
+    if e.len() != Q || w.len() != Q || opp.len() != Q {
+        return Err(format!("D3Q19: table lengths do not match Q={Q}"));
     }
     let mut wsum = 0.0;
     let mut m1 = [0.0f64; 3];
     let mut m2 = [[0.0f64; 3]; 3];
-    for i in 0..L::Q {
-        wsum += L::W[i];
+    for i in 0..Q {
+        wsum += w[i];
         for a in 0..3 {
-            m1[a] += L::W[i] * L::E[i][a] as f64;
+            m1[a] += w[i] * e[i][a] as f64;
             for b in 0..3 {
-                m2[a][b] += L::W[i] * (L::E[i][a] * L::E[i][b]) as f64;
+                m2[a][b] += w[i] * (e[i][a] * e[i][b]) as f64;
             }
         }
-        let o = L::OPP[i];
-        if o >= L::Q {
-            return Err(format!("{}: OPP[{}] out of range", L::NAME, i));
+        let o = opp[i];
+        if o >= Q {
+            return Err(format!("D3Q19: OPP[{i}] out of range"));
         }
         for a in 0..3 {
-            if L::E[o][a] != -L::E[i][a] {
-                return Err(format!("{}: OPP[{}] is not the reverse velocity", L::NAME, i));
+            if e[o][a] != -e[i][a] {
+                return Err(format!("D3Q19: OPP[{i}] is not the reverse velocity"));
             }
         }
-        if L::OPP[o] != i {
-            return Err(format!("{}: OPP is not an involution at {}", L::NAME, i));
+        if opp[o] != i {
+            return Err(format!("D3Q19: OPP is not an involution at {i}"));
         }
-        if (L::W[i] - L::W[o]).abs() > 1e-15 {
-            return Err(format!("{}: weights not symmetric under reversal at {}", L::NAME, i));
+        if (w[i] - w[o]).abs() > 1e-15 {
+            return Err(format!("D3Q19: weights not symmetric under reversal at {i}"));
         }
     }
     if (wsum - 1.0).abs() > 1e-14 {
-        return Err(format!("{}: weights sum to {wsum}, not 1", L::NAME));
+        return Err(format!("D3Q19: weights sum to {wsum}, not 1"));
     }
     for a in 0..3 {
         if m1[a].abs() > 1e-14 {
-            return Err(format!("{}: first moment nonzero along axis {a}", L::NAME));
+            return Err(format!("D3Q19: first moment nonzero along axis {a}"));
         }
         for b in 0..3 {
-            let want = if a == b && a < L::D { CS2 } else { 0.0 };
+            let want = if a == b { CS2 } else { 0.0 };
             if (m2[a][b] - want).abs() > 1e-14 {
-                return Err(format!("{}: second moment [{a}][{b}] = {} != {want}", L::NAME, m2[a][b]));
+                return Err(format!("D3Q19: second moment [{a}][{b}] = {} != {want}", m2[a][b]));
             }
         }
     }
@@ -207,12 +153,7 @@ mod tests {
 
     #[test]
     fn d3q19_is_valid() {
-        validate::<D3Q19>().unwrap();
-    }
-
-    #[test]
-    fn d2q9_is_valid() {
-        validate::<D2Q9>().unwrap();
+        validate().unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 
 /// Recomputes ψ (number density) at every interior cell from the current
 /// populations. Ghost planes are left untouched (they are refreshed by the

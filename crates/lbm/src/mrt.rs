@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 
 /// Relaxation rates for the non-hydrodynamic (ghost) moment families.
 /// The shear-stress and momentum rates always come from the component's τ.

@@ -20,7 +20,7 @@
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::par::{ConstPtr, Parallelism, SendPtr};
 
 /// Density floor below which the force shift is suppressed to avoid

@@ -2,8 +2,8 @@
 //!
 //! The distributed runtime parallelizes *across* slabs (one worker thread
 //! per node); this module parallelizes *within* a slab, chunking the
-//! interior x-planes of the five per-phase kernels (collision, streaming,
-//! ψ, forces, equilibrium velocities) over scoped rayon tasks.
+//! interior x-planes of the per-phase kernels (the fused collide→stream
+//! sweep, ψ, forces, equilibrium velocities) over scoped rayon tasks.
 //!
 //! The design constraint is the repo's flagship invariant: any
 //! parallelization must be **bitwise transparent to the physics**. Every

@@ -54,7 +54,7 @@ pub(crate) unsafe fn collide_bgk_avx2(
     cells: usize,
     range: Range<usize>,
 ) -> Range<usize> {
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
     use core::arch::x86_64::*;
 
     const L: usize = 4; // f64 lanes per 256-bit register
@@ -137,7 +137,7 @@ pub(crate) unsafe fn sum_channels_avx2(
     cells: usize,
     range: Range<usize>,
 ) -> Range<usize> {
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
     use core::arch::x86_64::*;
 
     const L: usize = 4;
@@ -178,7 +178,7 @@ pub(crate) unsafe fn update_ueq_avx2(
     cells: usize,
     range: Range<usize>,
 ) -> Range<usize> {
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
     use crate::multicomponent::RHO_FLOOR;
     use core::arch::x86_64::*;
 
@@ -323,7 +323,7 @@ unsafe fn gvec_plane_impl(
     nz: usize,
     p: usize,
 ) {
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
     // Axis and diagonal weights from the lattice table.
     let mut wa = 0.0;
     let mut wd = 0.0;
@@ -485,7 +485,7 @@ unsafe fn gvec_plane_avx2(
     nz: usize,
     p: usize,
 ) {
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
     use core::arch::x86_64::*;
 
     const L: usize = 4;
@@ -790,7 +790,7 @@ mod tests {
     use crate::collision::collide;
     use crate::component::{ComponentSpec, ComponentState};
     use crate::field::LocalGrid;
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
 
     /// Scalar-only reference BGK, kept in test code so the production
     /// dispatcher can never accidentally be its own oracle.

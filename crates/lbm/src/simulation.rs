@@ -1,10 +1,12 @@
 //! Sequential simulation driver.
 //!
 //! [`Simulation`] owns a single [`SlabSolver`] covering the whole channel
-//! and advances it phase by phase with periodic ghost self-exchange. It is
-//! both the reference implementation the distributed runtime must match
-//! bitwise, and the "sequential program" whose execution time defines
-//! speedup in the paper's evaluation.
+//! and advances it phase by phase with periodic ghost self-exchange, on
+//! the same fused collide→stream schedule the runtime workers and `mp`
+//! ranks run ([`SlabSolver::phase_periodic_fused`]). It is both the
+//! reference implementation the distributed runtime must match bitwise, and
+//! the "sequential program" whose execution time defines speedup in the
+//! paper's evaluation.
 
 use crate::config::ChannelConfig;
 use crate::geometry::Slab;
@@ -42,7 +44,7 @@ impl Simulation {
     /// Advances one phase (one LBM step — the paper's unit of
     /// synchronization).
     pub fn step(&mut self) {
-        self.solver.phase_periodic();
+        self.solver.phase_periodic_fused();
         self.phase += 1;
     }
 

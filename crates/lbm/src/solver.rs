@@ -3,18 +3,25 @@
 //!
 //! [`SlabSolver`] owns a contiguous range of y–z planes (a [`Slab`]) plus
 //! ghost planes, and exposes the phase as separate sub-steps so a parallel
-//! driver can interleave communication exactly as the paper's pseudo-code
-//! (Fig. 2) does:
+//! driver can interleave communication with the paper's pseudo-code
+//! (Fig. 2). There is one phase schedule, with collision fused into the
+//! streaming sweep:
 //!
 //! ```text
-//! collide                         (line 4)
+//! collide the two edge planes     (line 4, edges only)
 //! ⇄ exchange populations          (line 8)
-//! stream + bounce back            (lines 5, 10–11)
+//! collide the interior planes
+//!   + stream + bounce back        (lines 4, 5, 10–11, one sweep)
 //! compute ψ
 //! ⇄ exchange number density       (line 14)
 //! compute forces                  (line 16)
 //! compute velocities              (line 17)
 //! ```
+//!
+//! The halo exchange ships only edge-plane populations, so colliding the
+//! interior inside the sweep gives every plane the same post-collision
+//! values as the paper's collide-then-stream order, while `f` is swept once
+//! instead of twice.
 //!
 //! The sequential driver ([`crate::simulation::Simulation`]) is the
 //! single-slab special case where both exchanges reduce to periodic ghost
@@ -28,7 +35,7 @@ use crate::config::ChannelConfig;
 use crate::field::{LocalGrid, SlabArray};
 use crate::force::WallForce;
 use crate::geometry::{Slab, SolidRegion};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::macroscopic::Snapshot;
 use crate::par::Parallelism;
 
@@ -222,43 +229,37 @@ impl SlabSolver {
 
     // ---- phase sub-steps -------------------------------------------------
 
-    /// Phase step 1: LBGK collision of every component.
-    pub fn collide(&mut self) {
-        let par = self.par.effective();
+    /// Phase step 1: collides only the two slab-edge planes — everything
+    /// the population halo exchange reads ([`f_halo_out`](Self::f_halo_out)
+    /// ships edge planes only). Drivers run this *before* the exchange and
+    /// leave the remaining planes to
+    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
+    /// them just ahead of streaming.
+    pub fn collide_edges(&mut self) {
         let grid = self.grid();
         let p = grid.plane_cells();
-        let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
         for c in self.comps.iter_mut() {
-            if chunks.len() <= 1 {
-                crate::collision::collide(c);
-                continue;
+            crate::collision::collide_cells(c, LocalGrid::FIRST * p..(LocalGrid::FIRST + 1) * p);
+            if grid.last() != LocalGrid::FIRST {
+                crate::collision::collide_cells(c, grid.last() * p..(grid.last() + 1) * p);
             }
-            let cells = grid.cells();
-            let op = c.spec.collision;
-            let tau = c.spec.tau;
-            let ueq = crate::par::ConstPtr::new(c.ueq.data().as_ptr());
-            let f = crate::par::SendPtr::new(c.f.data_mut().as_mut_ptr());
-            par.run_chunks(&chunks, |a, b| {
-                // Safety: collision is cell-local and chunks are disjoint
-                // cell ranges of this component's `f`.
-                unsafe {
-                    crate::collision::collide_cells_raw(op, tau, f.get(), ueq.get(), cells, a * p..b * p)
-                }
-            });
         }
     }
 
-    /// Phase step 2 (after population exchange): streaming + the active
-    /// wall BC (bounce-back or a slip rule) at channel walls and
-    /// obstacles. The BC is resolved to a per-plane weight map here, once;
-    /// the sweep kernels never dispatch per cell.
-    pub fn stream(&mut self) {
+    /// Phase step 2 (after [`collide_edges`](Self::collide_edges) and the
+    /// population exchange): collides the interior planes and streams every
+    /// plane with the active wall BC (bounce-back or a slip rule) in a
+    /// single sweep over `f`, bitwise identical at any thread budget (see
+    /// [`crate::streaming::stream_collide_fused`]). The BC is resolved to a
+    /// per-plane weight map here, once; the sweep kernels never dispatch
+    /// per cell.
+    pub fn stream_collide_fused(&mut self) {
         let par = self.par;
         let has_solid = !self.obstacles.is_empty();
         let slip = (!self.slip_ry.is_empty())
             .then(|| SlipMap { ry: &self.slip_ry, rz: self.wall_bc.slip_rz() });
         for c in self.comps.iter_mut() {
-            crate::streaming::stream_with(c, &self.solid, has_solid, slip, par);
+            crate::streaming::stream_collide_fused(c, &self.solid, has_solid, slip, par);
         }
     }
 
@@ -285,40 +286,6 @@ impl SlabSolver {
     /// Phase step 5: common velocity and equilibrium velocities.
     pub fn compute_velocities(&mut self) {
         crate::multicomponent::update_equilibrium_velocities_with(&mut self.comps, self.par);
-    }
-
-    // ---- fused collide→stream schedule -----------------------------------
-
-    /// Collides only the two slab-edge planes — everything the population
-    /// halo exchange reads ([`f_halo_out`](Self::f_halo_out) ships edge
-    /// planes only). The fused driver runs this *before* the exchange and
-    /// leaves the remaining planes to
-    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
-    /// them just ahead of streaming.
-    pub fn collide_edges(&mut self) {
-        let grid = self.grid();
-        let p = grid.plane_cells();
-        for c in self.comps.iter_mut() {
-            crate::collision::collide_cells(c, LocalGrid::FIRST * p..(LocalGrid::FIRST + 1) * p);
-            if grid.last() != LocalGrid::FIRST {
-                crate::collision::collide_cells(c, grid.last() * p..(grid.last() + 1) * p);
-            }
-        }
-    }
-
-    /// Phase steps 1+2 fused (after [`collide_edges`](Self::collide_edges)
-    /// and the population exchange): collides the interior planes and
-    /// streams every plane in a single sweep over `f`, bitwise identical
-    /// to `collide()` + `stream()` at any thread budget (see
-    /// [`crate::streaming::stream_collide_fused`]).
-    pub fn stream_collide_fused(&mut self) {
-        let par = self.par;
-        let has_solid = !self.obstacles.is_empty();
-        let slip = (!self.slip_ry.is_empty())
-            .then(|| SlipMap { ry: &self.slip_ry, rz: self.wall_bc.slip_rz() });
-        for c in self.comps.iter_mut() {
-            crate::streaming::stream_collide_fused(c, &self.solid, has_solid, slip, par);
-        }
     }
 
     // ---- halo protocol ---------------------------------------------------
@@ -513,25 +480,12 @@ impl SlabSolver {
 
     // ---- drivers & observables --------------------------------------------
 
-    /// One full phase with periodic ghost self-exchange; only meaningful
-    /// when this slab covers the entire channel.
-    pub fn phase_periodic(&mut self) {
-        assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
-        self.collide();
-        self.f_ghosts_periodic();
-        self.stream();
-        self.compute_psi();
-        self.psi_ghosts_periodic();
-        self.compute_forces();
-        self.compute_velocities();
-    }
-
-    /// [`phase_periodic`](Self::phase_periodic) on the fused
-    /// collide→stream schedule (the hot path the runtime workers use):
-    /// edge planes collide before the ghost fill, the rest collide inside
-    /// the streaming sweep. Bitwise identical to `phase_periodic`.
+    /// One full phase with periodic ghost self-exchange (the sequential
+    /// driver's phase); only meaningful when this slab covers the entire
+    /// channel. Edge planes collide before the ghost fill, the rest collide
+    /// inside the streaming sweep.
     pub fn phase_periodic_fused(&mut self) {
-        assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
+        assert_eq!(self.nx_local(), self.global_nx, "phase_periodic_fused needs the whole channel");
         self.collide_edges();
         self.f_ghosts_periodic();
         self.stream_collide_fused();
@@ -543,22 +497,13 @@ impl SlabSolver {
 
     /// Brings a freshly initialized solver to a consistent phase-start
     /// state (ψ, forces, ueq), using periodic ghosts. Parallel drivers do
-    /// the same steps with real exchanges instead.
+    /// the same steps with a real ψ exchange instead:
+    /// [`compute_psi`](Self::compute_psi), exchange, then
+    /// [`compute_forces`](Self::compute_forces) and
+    /// [`compute_velocities`](Self::compute_velocities).
     pub fn prime_periodic(&mut self) {
         self.compute_psi();
         self.psi_ghosts_periodic();
-        self.compute_forces();
-        self.compute_velocities();
-    }
-
-    /// As [`prime_periodic`](Self::prime_periodic) but without the ghost
-    /// fill — the parallel driver exchanges ψ between the two steps.
-    pub fn prime_local_psi(&mut self) {
-        self.compute_psi();
-    }
-
-    /// Completes priming after the ψ exchange.
-    pub fn prime_finish(&mut self) {
         self.compute_forces();
         self.compute_velocities();
     }
@@ -590,6 +535,9 @@ mod tests {
     use super::*;
     use crate::geometry::{even_slabs, Dims};
 
+    /// Every intra-slab thread budget the fused phase is held to.
+    const THREADS: [usize; 6] = [1, 2, 3, 4, 8, 16];
+
     fn small_config() -> ChannelConfig {
         let mut cfg = ChannelConfig::paper_scaled(Dims::new(12, 6, 4));
         // Stronger driving so fields evolve visibly in few steps.
@@ -604,7 +552,7 @@ mod tests {
         s.prime_periodic();
         let m0 = s.total_mass();
         for _ in 0..20 {
-            s.phase_periodic();
+            s.phase_periodic_fused();
         }
         let m1 = s.total_mass();
         assert!(
@@ -619,7 +567,7 @@ mod tests {
         let mut s = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: 8 });
         s.prime_periodic();
         for _ in 0..50 {
-            s.phase_periodic();
+            s.phase_periodic_fused();
         }
         let snap = s.snapshot();
         let mid = snap.idx(4, 4, 4);
@@ -632,7 +580,7 @@ mod tests {
         let n = solvers.len();
         let f_len = solvers[0].f_halo_len();
         for s in solvers.iter_mut() {
-            s.collide();
+            s.collide_edges();
         }
         // Exchange populations (periodic ring).
         let mut right_msgs = vec![vec![0.0; f_len]; n];
@@ -648,34 +596,18 @@ mod tests {
             solvers[i].f_halo_in(Side::Right, &left_msgs[from_right]);
         }
         for s in solvers.iter_mut() {
-            s.stream();
+            s.stream_collide_fused();
             s.compute_psi();
         }
-        // Exchange ψ.
-        let p_len = solvers[0].psi_halo_len();
-        let mut right_psi = vec![vec![0.0; p_len]; n];
-        let mut left_psi = vec![vec![0.0; p_len]; n];
-        for (i, s) in solvers.iter().enumerate() {
-            s.psi_halo_out(Side::Right, &mut right_psi[i]);
-            s.psi_halo_out(Side::Left, &mut left_psi[i]);
-        }
-        for i in 0..n {
-            let from_left = (i + n - 1) % n;
-            let from_right = (i + 1) % n;
-            solvers[i].psi_halo_in(Side::Left, &right_psi[from_left]);
-            solvers[i].psi_halo_in(Side::Right, &left_psi[from_right]);
-        }
+        exchange_psi(solvers);
         for s in solvers.iter_mut() {
             s.compute_forces();
             s.compute_velocities();
         }
     }
 
-    fn prime_decomposed(solvers: &mut [SlabSolver]) {
+    fn exchange_psi(solvers: &mut [SlabSolver]) {
         let n = solvers.len();
-        for s in solvers.iter_mut() {
-            s.prime_local_psi();
-        }
         let p_len = solvers[0].psi_halo_len();
         let mut right_psi = vec![vec![0.0; p_len]; n];
         let mut left_psi = vec![vec![0.0; p_len]; n];
@@ -689,8 +621,16 @@ mod tests {
             solvers[i].psi_halo_in(Side::Left, &right_psi[from_left]);
             solvers[i].psi_halo_in(Side::Right, &left_psi[from_right]);
         }
+    }
+
+    fn prime_decomposed(solvers: &mut [SlabSolver]) {
         for s in solvers.iter_mut() {
-            s.prime_finish();
+            s.compute_psi();
+        }
+        exchange_psi(solvers);
+        for s in solvers.iter_mut() {
+            s.compute_forces();
+            s.compute_velocities();
         }
     }
 
@@ -698,11 +638,7 @@ mod tests {
     fn decomposed_run_is_bitwise_identical_to_sequential() {
         let cfg = small_config();
         let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
-        seq.prime_periodic();
-        for _ in 0..8 {
-            seq.phase_periodic();
-        }
-        let want = seq.snapshot();
+        let want = run_phases(&mut seq, 8);
 
         for parts in [2, 3, 4] {
             let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
@@ -721,13 +657,9 @@ mod tests {
     #[test]
     fn migration_preserves_physics_bitwise() {
         let cfg = small_config();
-        let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
-        seq.prime_periodic();
         let phases = 9;
-        for _ in 0..phases {
-            seq.phase_periodic();
-        }
-        let want = seq.snapshot();
+        let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
+        let want = run_phases(&mut seq, phases);
 
         let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, 3)
             .into_iter()
@@ -788,59 +720,69 @@ mod tests {
         a.take_planes(Side::Left, 3);
     }
 
-    fn run_phases(s: &mut SlabSolver, phases: usize, fused: bool) -> Snapshot {
+    /// Primes and runs `phases` fused periodic phases.
+    fn run_phases(s: &mut SlabSolver, phases: usize) -> Snapshot {
         s.prime_periodic();
         for _ in 0..phases {
-            if fused {
-                s.phase_periodic_fused();
-            } else {
-                s.phase_periodic();
-            }
+            s.phase_periodic_fused();
         }
         s.snapshot()
     }
 
-    #[test]
-    fn fused_phase_is_bitwise_identical_to_classic() {
-        let cfg = small_config();
+    /// The unfused oracle phase: scalar full-interior collision of every
+    /// component, a periodic ghost fill, then the two-lattice reference
+    /// streaming under the solver's own mask and slip weights, followed by
+    /// the same ψ/force/velocity steps.
+    fn phase_reference(s: &mut SlabSolver) {
+        for c in s.comps.iter_mut() {
+            crate::collision::collide(c);
+        }
+        s.f_ghosts_periodic();
+        let rz = s.wall_bc.slip_rz();
+        for c in s.comps.iter_mut() {
+            if s.slip_ry.is_empty() {
+                crate::streaming::stream_reference(c, &s.solid);
+            } else {
+                crate::streaming::stream_reference_slip(c, &s.solid, &s.slip_ry, rz);
+            }
+        }
+        s.compute_psi();
+        s.psi_ghosts_periodic();
+        s.compute_forces();
+        s.compute_velocities();
+    }
+
+    /// Asserts that `phases` fused phases at every thread budget equal the
+    /// serial unfused oracle bit for bit.
+    fn assert_fused_matches_reference(cfg: &ChannelConfig, phases: usize, what: &str) {
         let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 8, false);
-        for threads in [1, 2, 4, 16] {
-            let mut s = SlabSolver::new(&cfg, slab);
+        let mut oracle = SlabSolver::new(cfg, slab);
+        oracle.prime_periodic();
+        for _ in 0..phases {
+            phase_reference(&mut oracle);
+        }
+        let want = oracle.snapshot();
+        for threads in THREADS {
+            let mut s = SlabSolver::new(cfg, slab);
             s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 8, true);
-            assert_eq!(got, want, "fused schedule at {threads} threads changed the physics");
+            let got = run_phases(&mut s, phases);
+            assert_eq!(got, want, "fused {what} at {threads} threads diverged from collide + reference");
         }
     }
 
     #[test]
-    fn parallel_kernels_are_bitwise_identical_to_serial() {
-        let cfg = small_config();
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 8, false);
-        for threads in [2, 3, 4] {
-            let mut s = SlabSolver::new(&cfg, slab);
-            s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 8, false);
-            assert_eq!(got, want, "plane-parallel kernels at {threads} threads changed the physics");
-        }
+    fn fused_phase_matches_the_unfused_reference_at_any_thread_count() {
+        assert_fused_matches_reference(&small_config(), 8, "phase");
     }
 
     #[test]
-    fn fused_phase_matches_classic_with_obstacles() {
+    fn fused_phase_matches_reference_with_obstacles() {
         // Obstacles force the generic (per-cell bounce-back) streaming
         // path; the fused sweep must stay bitwise identical there too.
         let mut cfg = small_config();
         cfg.obstacles
             .push(crate::geometry::SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 6, false);
-        for threads in [1, 4] {
-            let mut s = SlabSolver::new(&cfg, slab);
-            s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 6, true);
-            assert_eq!(got, want, "fused+obstacles at {threads} threads changed the physics");
-        }
+        assert_fused_matches_reference(&cfg, 6, "obstacles");
     }
 
     #[test]
@@ -848,12 +790,7 @@ mod tests {
         let mut cfg = small_config();
         cfg.components[0].0.collision = crate::component::CollisionOperator::trt_magic();
         cfg.components[1].0.collision = crate::component::CollisionOperator::mrt_standard();
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 5, false);
-        let mut s = SlabSolver::new(&cfg, slab);
-        s.set_parallelism(Parallelism::new(3));
-        let got = run_phases(&mut s, 5, true);
-        assert_eq!(got, want, "fused TRT/MRT diverged from classic");
+        assert_fused_matches_reference(&cfg, 5, "TRT/MRT");
     }
 
     /// The three non-default wall BCs on the test channel.
@@ -871,11 +808,7 @@ mod tests {
             let mut cfg = small_config();
             cfg.wall_bc = bc.clone();
             let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
-            seq.prime_periodic();
-            for _ in 0..6 {
-                seq.phase_periodic();
-            }
-            let want = seq.snapshot();
+            let want = run_phases(&mut seq, 6);
 
             for parts in [2, 3] {
                 let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
@@ -898,13 +831,9 @@ mod tests {
         // a patterned wall is the hardest case (weights differ per plane).
         let mut cfg = small_config();
         cfg.wall_bc = WallBc::PatternedSlip { r_a: 0.9, r_b: 0.1, period: 2, phase: 0 };
-        let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
-        seq.prime_periodic();
         let phases = 9;
-        for _ in 0..phases {
-            seq.phase_periodic();
-        }
-        let want = seq.snapshot();
+        let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
+        let want = run_phases(&mut seq, phases);
 
         let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, 3)
             .into_iter()
@@ -930,18 +859,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_slip_phase_is_bitwise_identical_to_classic() {
+    fn fused_slip_phase_matches_reference() {
         for bc in slip_bcs() {
             let mut cfg = small_config();
             cfg.wall_bc = bc.clone();
-            let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-            let want = run_phases(&mut SlabSolver::new(&cfg, slab), 6, false);
-            for threads in [1, 4] {
-                let mut s = SlabSolver::new(&cfg, slab);
-                s.set_parallelism(Parallelism::new(threads));
-                let got = run_phases(&mut s, 6, true);
-                assert_eq!(got, want, "fused {bc:?} at {threads} threads changed the physics");
-            }
+            assert_fused_matches_reference(&cfg, 6, &format!("{bc:?}"));
         }
     }
 

@@ -301,10 +301,6 @@ pub fn default_config() -> LintConfig {
                 "per-component raw field pointers inside the fused parallel sweep",
             ),
             unsafe_file(
-                "crates/lbm/src/solver.rs",
-                "fused collide-stream writes through disjoint plane pointers",
-            ),
-            unsafe_file(
                 "crates/lbm/src/par.rs",
                 "Send/Sync pointer wrappers underpinning the disjoint-chunk parallelism",
             ),

@@ -233,9 +233,10 @@ fn run_phases<T: Transport>(
     // Priming: ψ from the initial state, one ψ exchange, then forces and
     // velocities — the same steps the sequential driver does. Phase 0 =
     // outside the phase loop.
-    solver.prime_local_psi();
+    solver.compute_psi();
     exchange_psi(solver, transport, topo, tracer, 0)?;
-    solver.prime_finish();
+    solver.compute_forces();
+    solver.compute_velocities();
 
     for phase in cfg.start_phase + 1..=cfg.phases {
         let throttle = throttle.at(phase);

@@ -1,7 +1,7 @@
 //! Quickstart: the two faces of `microslip` in under a minute.
 //!
-//! 1. A 2-D single-component channel flow validated against the analytic
-//!    Poiseuille profile.
+//! 1. A 3-D single-component duct flow validated against the analytic
+//!    double-cosh series for a rectangular duct.
 //! 2. A small 3-D two-component (water + air) hydrophobic microchannel —
 //!    the paper's physics at toy resolution — reporting the apparent slip.
 //! 3. The same channel on the parallel runtime via [`Scenario`] — one
@@ -9,25 +9,35 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use microslip::lbm::analytic::{compare, plane_poiseuille};
+use microslip::lbm::analytic::{compare, duct_velocity};
 use microslip::lbm::observables::{apparent_slip_fraction, mean_velocity_y_profile};
-use microslip::lbm::twodim::Channel2d;
+use microslip::lbm::simulation::velocity_converged;
 use microslip::prelude::*;
 
 fn main() {
-    // ---- Part 1: 2-D Poiseuille validation ------------------------------
-    println!("== 2-D channel flow vs analytic Poiseuille ==");
-    let (ny, g) = (24, 1e-6);
-    let mut ch = Channel2d::new(4, ny, 1.0, g);
-    ch.run(6000);
-    let numeric = ch.velocity_profile();
-    let reference: Vec<f64> = (0..ny)
-        .map(|y| plane_poiseuille(y as f64 + 0.5, ny as f64, g, ch.viscosity()))
-        .collect();
+    // ---- Part 1: 3-D duct-flow validation -------------------------------
+    println!("== 3-D duct flow vs the analytic double-cosh series ==");
+    let (duct, g) = (Dims::new(4, 20, 12), 1e-6);
+    // τ = 1 gives the lattice viscosity ν = (τ − ½)/3 = 1/6.
+    let nu = 1.0 / 6.0;
+    let mut sim = Simulation::new(ChannelConfig::single_component(duct, 1.0, g));
+    let steps = sim.run_until(20_000, 500, velocity_converged(1e-10));
+    let snap = sim.snapshot();
+    let (a, b) = (duct.ny as f64 / 2.0, duct.nz as f64 / 2.0);
+    let mut numeric = Vec::new();
+    let mut reference = Vec::new();
+    for y in 0..duct.ny {
+        for z in 0..duct.nz {
+            numeric.push(snap.u(snap.idx(duct.nx / 2, y, z))[0]);
+            // Cell centers relative to the duct center.
+            let (yy, zz) = (y as f64 + 0.5 - a, z as f64 + 0.5 - b);
+            reference.push(duct_velocity(yy, zz, a, b, g, nu, 200));
+        }
+    }
     let err = compare(&numeric, &reference);
-    println!("   rows: {ny}, steps: 6000");
-    println!("   relative L2 error vs Poiseuille: {:.4}", err.l2);
-    println!("   relative Linf error:             {:.4}", err.linf);
+    println!("   cross-section: {}x{}, steps: {steps}", duct.ny, duct.nz);
+    println!("   relative L2 error vs duct series: {:.4}", err.l2);
+    println!("   relative Linf error:              {:.4}", err.linf);
 
     // ---- Part 2: 3-D two-component slip channel --------------------------
     println!();

@@ -115,9 +115,9 @@ test-all:
 bench-kernels:
     cargo bench --offline -p microslip-bench --bench kernels
 
-# Intra-slab kernel-scaling baseline: serial vs fused vs fused+rayon at
-# 1/2/4/8 threads on the paper-shaped 400x200x20 slab; writes
-# BENCH_kernels.json at the repo root.
+# Intra-slab kernel-scaling baseline: the fused phase at 1/2/4/8 threads
+# on the paper-shaped 400x200x20 slab, with the host's cores, CPU model
+# and AVX2; writes BENCH_kernels.json at the repo root.
 bench-scaling:
     cargo build --release --offline -p microslip-bench
     ./target/release/kernel_scaling --reps 3 --out BENCH_kernels.json

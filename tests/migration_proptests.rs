@@ -42,11 +42,11 @@ fn exchange_psi(solvers: &mut [SlabSolver]) {
 
 fn phase(solvers: &mut [SlabSolver]) {
     for s in solvers.iter_mut() {
-        s.collide();
+        s.collide_edges();
     }
     exchange_f(solvers);
     for s in solvers.iter_mut() {
-        s.stream();
+        s.stream_collide_fused();
         s.compute_psi();
     }
     exchange_psi(solvers);
@@ -58,11 +58,12 @@ fn phase(solvers: &mut [SlabSolver]) {
 
 fn prime(solvers: &mut [SlabSolver]) {
     for s in solvers.iter_mut() {
-        s.prime_local_psi();
+        s.compute_psi();
     }
     exchange_psi(solvers);
     for s in solvers.iter_mut() {
-        s.prime_finish();
+        s.compute_forces();
+        s.compute_velocities();
     }
 }
 
